@@ -41,20 +41,33 @@ class FractionalObjective:
         object.__setattr__(self, "q", float(self.q))
         object.__setattr__(self, "d", float(self.d))
 
+    @classmethod
+    def _unchecked(cls, p: np.ndarray, q: float, c: np.ndarray, d: float):
+        """Build from coefficients the package computed out of validated
+        data, skipping the checks in __post_init__."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(p=p, q=q, c=c, d=d)
+        return obj
+
     def numerator(self, y: np.ndarray) -> float:
         return float(self.p @ y) + self.q
 
     def denominator(self, y: np.ndarray) -> float:
         return float(self.c @ y) + self.d
 
+    def ratio(self, y: np.ndarray) -> float:
+        """Value at a finite float vector y of the objective's dimension;
+        only the sign of the denominator is checked."""
+        den = float(self.c @ y) + self.d
+        if den <= 0.0:
+            raise DomainError(f"denominator {den:g} is not positive at y={y}")
+        return (float(self.p @ y) + self.q) / den
+
     def __call__(self, y) -> float:
         y = as_vector(y, "y")
         if y.size != self.p.size:
             raise DimensionError(f"y has dimension {y.size}, objective has {self.p.size}")
-        den = self.denominator(y)
-        if den <= 0.0:
-            raise DomainError(f"denominator {den:g} is not positive at y={y}")
-        return self.numerator(y) / den
+        return self.ratio(y)
 
 
 @dataclass(frozen=True)
@@ -71,8 +84,14 @@ def minimize_linear_over_box(w, box: BoxSet) -> tuple[np.ndarray, float]:
     w = as_vector(w, "w")
     if w.size != box.dim:
         raise DimensionError(f"w has dimension {w.size}, box has {box.dim}")
-    y = np.where(w < 0.0, box.hi, box.lo)
+    y = _minimizing_vertex(w, box)
     return y, float(w @ y)
+
+
+def _minimizing_vertex(w: np.ndarray, box: BoxSet) -> np.ndarray:
+    """The vertex minimize_linear_over_box returns, for a w of the box's
+    dimension the package computed itself."""
+    return np.where(w < 0.0, box.hi, box.lo)
 
 
 def dinkelbach_minimize(
@@ -91,18 +110,21 @@ def dinkelbach_minimize(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    alpha = obj(box.center)
-    alphas = [alpha]
+    if obj.p.size != box.dim:
+        raise DimensionError(f"objective has dimension {obj.p.size}, box has {box.dim}")
     y = box.center
+    alpha = obj.ratio(y)
+    alphas = [alpha]
     for iteration in range(1, max_iter + 1):
-        y, lin = minimize_linear_over_box(obj.p - alpha * obj.c, box)
-        f_alpha = lin + obj.q - alpha * obj.d
+        w = obj.p - alpha * obj.c
+        y = _minimizing_vertex(w, box)
+        f_alpha = float(w @ y) + obj.q - alpha * obj.d
         den = obj.denominator(y)
         if den <= 0.0:
             raise DomainError(f"denominator {den:g} is not positive at y={y}")
-        if abs(f_alpha) <= tol * max(1.0, abs(alpha) * den):
-            return DinkelbachResult(y, obj(y), iteration, tuple(alphas))
         new_alpha = obj.numerator(y) / den
+        if abs(f_alpha) <= tol * max(1.0, abs(alpha) * den):
+            return DinkelbachResult(y, new_alpha, iteration, tuple(alphas))
         assert new_alpha <= alpha + 1e-12 * max(1.0, abs(alpha)), \
             "Dinkelbach ratio increased"
         alpha = new_alpha
@@ -139,12 +161,17 @@ def grid_bruteforce_minimize(
 
 
 def response_objective(inst, x) -> FractionalObjective:
-    """Fractional objective y |-> f_x(y) + const for an affine-fractional
-    instance at the point x (p = A1'(Ax + b), q = b1'(Ax + b))."""
-    x = as_vector(x, "x")
+    """Fractional objective phi_x(y) = (p'y + q)/(c'y + d) of an
+    affine-fractional instance at the point x, with p = A1'(Ax + b) and
+    q = b1'(Ax + b), so that f(x, y) = phi_x(y) - phi_x(x)."""
+    return _response_objective(inst, as_vector(x, "x"))
+
+
+def _response_objective(inst, x: np.ndarray) -> FractionalObjective:
+    """response_objective for an x the caller has already validated."""
     u = inst.A @ x + inst.b
-    return FractionalObjective(p=inst.A1.T @ u, q=float(inst.b1 @ u),
-                               c=inst.c, d=inst.d)
+    return FractionalObjective._unchecked(inst.A1.T @ u, float(inst.b1 @ u),
+                                          inst.c, inst.d)
 
 
 def best_response_residual(
@@ -160,6 +187,7 @@ def best_response_residual(
     feasible) and equals zero exactly when x solves the equilibrium
     problem.
     """
-    obj = response_objective(inst, x)
+    x = as_vector(x, "x")
+    obj = _response_objective(inst, x)
     result = dinkelbach_minimize(obj, inst.box, tol=tol, max_iter=max_iter)
-    return result.y, obj(x) - result.value
+    return result.y, obj.ratio(x) - result.value

@@ -24,8 +24,9 @@ from .errors import DimensionError, DomainError
 from .fractional import (
     DINKELBACH_MAX_ITER,
     DINKELBACH_TOL,
+    _minimizing_vertex,
+    _response_objective,
     best_response_residual,
-    minimize_linear_over_box,
     response_objective,
 )
 from .linalg import as_matrix, as_vector
@@ -122,32 +123,21 @@ class AffineVIInstance:
         return self.box.dim
 
 
-def _ratio(inst: AffineFractionalInstance, z: np.ndarray) -> np.ndarray:
-    den = float(inst.c @ z) + inst.d
-    if den <= 0.0:
-        raise DomainError(f"denominator {den:g} is not positive at {z}")
-    return (inst.A1 @ z + inst.b1) / den
-
-
 def fractional_value(inst: AffineFractionalInstance, x, y) -> float:
-    """f(x, y) for the affine-fractional bifunction; f(x, x) = 0."""
+    """f(x, y) = phi_x(y) - phi_x(x) for the affine-fractional bifunction,
+    with phi_x the response objective at x; f(x, x) = 0."""
     x = as_vector(x, "x")
-    y = as_vector(y, "y")
-    u = inst.A @ x + inst.b
-    return float(u @ (_ratio(inst, y) - _ratio(inst, x)))
+    obj = _response_objective(inst, x)
+    return obj(y) - obj.ratio(x)
 
 
 def fractional_diagonal_subgradient(inst: AffineFractionalInstance, x) -> np.ndarray:
     """Unnormalized diagonal GP-subgradient g = p - phi_x(x) c of f(x, .)
-    at x, where p = A1'(Ax + b).  The solver normalizes nonzero g."""
+    at x, from the response objective phi_x = (p'y + q)/(c'y + d).  The
+    solver normalizes nonzero g."""
     x = as_vector(x, "x")
-    u = inst.A @ x + inst.b
-    den = float(inst.c @ x) + inst.d
-    if den <= 0.0:
-        raise DomainError(f"denominator {den:g} is not positive at {x}")
-    p = inst.A1.T @ u
-    alpha = (float(p @ x) + float(inst.b1 @ u)) / den
-    return p - alpha * inst.c
+    obj = _response_objective(inst, x)
+    return obj.p - obj.ratio(x) * obj.c
 
 
 def vi_value(inst: AffineVIInstance, x, y) -> float:
@@ -212,5 +202,5 @@ class AffineVIOracle:
     def best_response(self, x) -> BestResponse:
         x = as_vector(x, "x")
         w = self.instance.M @ x + self.instance.r
-        y, val = minimize_linear_over_box(w, self.instance.box)
-        return y, val - float(w @ x)
+        y = _minimizing_vertex(w, self.instance.box)
+        return y, float(w @ y) - float(w @ x)

@@ -35,11 +35,8 @@ class StepSchedule:
     squares."""
 
     scale: float
-    kind: str = "scaled-harmonic"
 
     def __post_init__(self):
-        if self.kind != "scaled-harmonic":
-            raise ConfigurationError(f"unknown schedule kind {self.kind!r}")
         if not self.scale > 0.0:
             raise ConfigurationError("schedule scale must be positive")
         object.__setattr__(self, "scale", float(self.scale))
@@ -135,7 +132,7 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
 
     if x0 is None:
         x0 = feasible_set.center
-    x = feasible_set.project(as_vector(x0, "x0"))
+    x = feasible_set.project(x0)
 
     if config.trace_keep is None:
         trace: "list[IterationRecord] | deque[IterationRecord]" = []

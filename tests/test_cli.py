@@ -52,6 +52,16 @@ class TestSolve:
         ])
         assert code == EXIT_SOLVE_FAILURE
 
+    def test_step_below_tol_with_large_residual_exits_nonzero(self, e1_file, capsys):
+        # ng1 stops after one 1e-5 step at x = 1.99999, where the residual
+        # is about 0.67: a short step is not a solution
+        code = main([
+            "solve", "--instance", e1_file, "--variant", "ng1", "--scale", "1e-5",
+        ])
+        out = capsys.readouterr().out
+        assert "status: step-below-tol" in out
+        assert code == EXIT_SOLVE_FAILURE
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["solve", "--instance", str(tmp_path / "nope.json")])
         assert code == EXIT_INPUT_ERROR

@@ -140,6 +140,17 @@ class TestDinkelbach:
             dinkelbach_minimize(obj, BoxSet.uniform(1, 1.0, 3.0), max_iter=1)
         assert err.value.last_point is not None
 
+    def test_rejects_objective_of_other_dimension(self):
+        obj = FractionalObjective(p=[1.0, 0.0], q=1.0, c=[0.0, 1.0], d=2.0)
+        with pytest.raises(DimensionError):
+            dinkelbach_minimize(obj, BoxSet.uniform(1, 1.0, 3.0))
+
+    def test_rejects_nonpositive_denominator_at_center(self):
+        # c'y + d = 2 - y vanishes at the center y = 2 of [1, 3]
+        obj = FractionalObjective(p=[1.0], q=0.0, c=[-1.0], d=2.0)
+        with pytest.raises(DomainError):
+            dinkelbach_minimize(obj, BoxSet.uniform(1, 1.0, 3.0))
+
     def test_agrees_with_grid_on_random_problems(self):
         cfg = GeneratorConfig(n=2, count=10, seed=4242)
         instances = generate_instances(cfg)
@@ -196,6 +207,11 @@ class TestBestResponse:
             x = rng.uniform(1.0, 3.0, size=3)
             _, residual = best_response_residual(inst, x)
             assert residual >= -1e-12
+
+    @pytest.mark.parametrize("x", [[np.nan], [1.0, 2.0]])
+    def test_rejects_bad_point(self, e1, x):
+        with pytest.raises(ValueError):
+            best_response_residual(e1, np.array(x))
 
     def test_vi_encoding_residual(self, unit_box):
         # f(x, y) = (x - 2)(y - x) encoded with trivial denominator

@@ -90,6 +90,19 @@ class TestFractionalValues:
             atol=1e-15,
         )
 
+    def test_subgradient_matches_closed_form(self, rng):
+        # g = p - ((p'x + b1'u)/(c'x + d)) c with u = Ax + b and p = A1'u,
+        # evaluated in the same order of operations, so equal bit for bit
+        for inst in generate_instances(GeneratorConfig(n=6, count=5, seed=404)):
+            for _ in range(5):
+                x = rng.uniform(1.0, 3.0, size=6)
+                u = inst.A @ x + inst.b
+                p = inst.A1.T @ u
+                ratio = (float(p @ x) + float(inst.b1 @ u)) / (float(inst.c @ x) + inst.d)
+                np.testing.assert_array_equal(
+                    fractional_diagonal_subgradient(inst, x), p - ratio * inst.c
+                )
+
     def test_subgradient_zero_denominator_gradient(self, unit_box):
         # with c = 0 the ratio is affine and the formula collapses to A1^T (Ax + b)
         inst = AffineFractionalInstance(
