@@ -2,8 +2,9 @@
 
 Each size gets its own seeded batch (seed + size index), every instance
 is solved from the box center, and a solve counts as a success when the
-residual at the best iterate falls below the success tolerance.  Wall
-time is measured around the solve call only.
+residual at the returned ``x_final`` (``final_residual``, as in
+``quasieq solve``) falls below the success tolerance.  Wall time is
+measured around the solve call only.
 """
 
 from __future__ import annotations
@@ -45,9 +46,8 @@ def run_benchmark(
     """Solve ``count`` seeded instances per size and aggregate results.
 
     ``config`` supplies the schedule and tolerances; its variant field is
-    overridden by ``variant`` and tracing is disabled (the best residual
-    is tracked online).  Individual solve failures are recorded as
-    non-successes and never abort the sweep.
+    overridden by ``variant`` and tracing is disabled.  Individual solve
+    failures are recorded as non-successes and never abort the sweep.
     """
     sizes = sorted(set(int(n) for n in sizes))
     if not sizes:
@@ -74,7 +74,7 @@ def run_benchmark(
                 times.append(time.perf_counter() - t0)
             except Exception:
                 continue  # counted in n_prob, not in the means
-            error = report.best_residual
+            error = report.final_residual
             if error is not None:
                 errors.append(error)
                 if error < solver_config.tol_success:

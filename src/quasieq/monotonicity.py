@@ -3,8 +3,10 @@
 The bifunction with data (A, b, A1, b1, c, d) is paramonotone exactly
 when, for A_hat = (d A1' - c b1') A, the symmetric part
 S = (A_hat + A_hat')/2 is positive semidefinite and
-rank(S) <= rank(A_hat).  Both conditions are decided numerically from
-the Jacobi spectrum and singular values, with a tolerance relative to
+rank(S) = rank(A_hat) (Iusem 1998).  Both conditions are decided from
+two Jacobi decompositions: the eigenvalues of S give its smallest
+eigenvalue and, as |eig(S)| are its singular values, rank(S); rank(A_hat)
+comes from the singular values of A_hat.  The PSD slack is relative to
 ||A_hat||_F.
 """
 
@@ -48,10 +50,11 @@ def paramonotonicity_report(a_hat: np.ndarray,
     a_hat = np.asarray(a_hat, dtype=float)
     sym = 0.5 * (a_hat + a_hat.T)
     slack = tol * max(1.0, frobenius_norm(a_hat))
-    min_eig = float(symmetric_eigenvalues(sym)[0])
-    rank_sym = numeric_rank(singular_values(sym), tol)
+    eig = symmetric_eigenvalues(sym)
+    min_eig = float(eig[0])
+    rank_sym = numeric_rank(np.sort(np.abs(eig))[::-1], tol)
     rank_a_hat = numeric_rank(singular_values(a_hat), tol)
-    verdict = (min_eig >= -slack) and (rank_sym <= rank_a_hat)
+    verdict = (min_eig >= -slack) and (rank_sym == rank_a_hat)
     return ParamonotonicityReport(
         a_hat=a_hat,
         a_hat_sym=sym,

@@ -91,10 +91,6 @@ class SolveStatus(Enum):
     MAX_ITER_REACHED = "max-iter-reached"
 
 
-#: statuses that certify the final iterate solves the problem exactly
-CERTIFIED_STATUSES = (SolveStatus.ZERO_GRADIENT, SolveStatus.FIXED_POINT)
-
-
 @dataclass
 class SolveReport:
     status: SolveStatus
@@ -104,10 +100,6 @@ class SolveReport:
     final_residual: Optional[float]
     best_residual: Optional[float]
     elapsed_seconds: float
-
-    def success(self, tol_success: float = 1e-1) -> bool:
-        """Residual at the best iterate below the success threshold."""
-        return self.best_residual is not None and self.best_residual < tol_success
 
 
 def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,

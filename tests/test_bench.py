@@ -43,23 +43,26 @@ class TestBookkeeping:
 
 class TestAggregation:
     def test_means_and_success_from_stubbed_solver(self, monkeypatch):
-        # every solve reports residual 0.05, below the 0.1 success cut
-        def fake_solve(oracle, feasible_set, config, x0=None):
-            return SolveReport(
-                status=SolveStatus.RESIDUAL_BELOW_TOL,
-                x_final=feasible_set.center,
-                iterations=1,
-                trace=[],
-                final_residual=0.05,
-                best_residual=0.05,
-                elapsed_seconds=0.0,
-            )
+        # the success cut is 0.1 and applies to the residual at x_final,
+        # so a good earlier iterate (best 0.05, final 0.5) is no success
+        for best, final, n_success in ((0.05, 0.05, 4), (0.05, 0.5, 0)):
+            def fake_solve(oracle, feasible_set, config, x0=None,
+                           best=best, final=final):
+                return SolveReport(
+                    status=SolveStatus.RESIDUAL_BELOW_TOL,
+                    x_final=feasible_set.center,
+                    iterations=1,
+                    trace=[],
+                    final_residual=final,
+                    best_residual=best,
+                    elapsed_seconds=0.0,
+                )
 
-        monkeypatch.setattr(bench_module, "normal_subgradient_solve", fake_solve)
-        report = run_benchmark(sizes=(2,), count=4, seed=9)
-        row = report.rows[0]
-        assert row.n_success == 4
-        assert row.mean_error == pytest.approx(0.05)
+            monkeypatch.setattr(bench_module, "normal_subgradient_solve", fake_solve)
+            report = run_benchmark(sizes=(2,), count=4, seed=9)
+            row = report.rows[0]
+            assert row.n_success == n_success
+            assert row.mean_error == pytest.approx(final)
 
     def test_solver_exception_counts_as_failure(self, monkeypatch):
         def exploding_solve(oracle, feasible_set, config, x0=None):

@@ -12,6 +12,7 @@ from quasieq.linalg import (
     singular_values,
     symmetric_eigenvalues,
 )
+from quasieq.monotonicity import paramonotonicity_report
 
 
 def _det(m):
@@ -99,9 +100,17 @@ class TestSymmetricEigenvalues:
         for n in (2, 5, 8):
             raw = rng.normal(size=(n, n))
             m = 0.5 * (raw + raw.T)
+            vals = symmetric_eigenvalues(m)
+            np.testing.assert_allclose(vals, np.linalg.eigvalsh(m), atol=1e-9)
+            # for symmetric m the singular values are |eig(m)|
             np.testing.assert_allclose(
-                symmetric_eigenvalues(m), np.linalg.eigvalsh(m), atol=1e-9
+                np.sort(np.abs(vals))[::-1],
+                np.linalg.svd(m, compute_uv=False),
+                atol=1e-9,
             )
+        # the certificate's rank of S from |eig(S)| on a rank-deficient PSD S
+        b = rng.normal(size=(6, 3))
+        assert paramonotonicity_report(b @ b.T).rank_sym == 3
 
     def test_convergence_error_on_starved_sweeps(self, monkeypatch):
         import quasieq.linalg as linalg

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import quasieq.monotonicity as monotonicity
 from quasieq.generator import GeneratorConfig, generate_instances
 from quasieq.monotonicity import (
     check_paramonotone,
@@ -111,8 +114,35 @@ class TestCheckParamonotone:
 
 
 class TestReportConstruction:
-    def test_report_from_matrix(self):
-        report = paramonotonicity_report(np.diag([0.0, 1.0]))
-        assert report.verdict
-        assert report.rank_sym == 1
-        assert report.rank_a_hat == 1
+    @pytest.mark.parametrize(
+        "matrix, rank_sym, rank_a_hat, verdict",
+        [
+            ([[0.0, 0.0], [0.0, 1.0]], 1, 1, True),
+            # S = 0 is PSD, but ker S is the whole plane while A_hat is invertible
+            ([[0.0, 1.0], [-1.0, 0.0]], 0, 2, False),
+            # S = diag(1, 0) is PSD with rank 1 < rank A_hat = 2
+            ([[1.0, 1.0], [-1.0, 0.0]], 1, 2, False),
+        ],
+        ids=["psd-diagonal", "rotation", "psd-sym-part-of-lower-rank"],
+    )
+    def test_report_from_matrix(self, matrix, rank_sym, rank_a_hat, verdict):
+        report = paramonotonicity_report(np.array(matrix))
+        assert report.rank_sym == rank_sym
+        assert report.rank_a_hat == rank_a_hat
+        assert report.verdict is verdict
+
+    def test_two_decompositions_per_report(self, monkeypatch):
+        # rank S comes from |eig(S)|, so S itself is decomposed only once
+        calls = Counter()
+        for name in ("symmetric_eigenvalues", "singular_values"):
+            original = getattr(monotonicity, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(monotonicity, name, counted)
+        for inst in generate_instances(GeneratorConfig(n=4, count=3, seed=11)):
+            calls.clear()
+            check_paramonotone(inst)
+            assert calls == {"symmetric_eigenvalues": 1, "singular_values": 1}

@@ -6,7 +6,6 @@ from quasieq.generator import GeneratorConfig, generate_instances
 from quasieq.oracles import AffineFractionalOracle, AffineVIInstance, AffineVIOracle
 from quasieq.sets import BoxSet
 from quasieq.solver import (
-    CERTIFIED_STATUSES,
     IterationRecord,
     SolveStatus,
     SolverConfig,
@@ -74,7 +73,6 @@ class TestToyProblem:
             AffineVIOracle(t1), t1.box, cfg, x0=np.array([1.0])
         )
         assert report.status is SolveStatus.ZERO_GRADIENT
-        assert report.status in CERTIFIED_STATUSES
         np.testing.assert_array_equal(report.x_final, [2.0])
         assert report.iterations == 2
         assert len(report.trace) == 1
@@ -107,7 +105,6 @@ class TestToyProblem:
         assert report.final_residual == 0.0
         assert report.best_residual == 0.0
         assert report.trace[0].residual == pytest.approx(2.0)
-        assert report.success()
 
     def test_ng1_step_below_tol(self, t1):
         cfg = SolverConfig(variant="ng1", schedule=StepSchedule(1e-5))
@@ -161,13 +158,6 @@ class TestSolverGuards:
         box2 = BoxSet.uniform(2, 1.0, 3.0)
         with pytest.raises(DimensionError):
             normal_subgradient_solve(AffineFractionalOracle(e1), box2, SolverConfig())
-
-    def test_success_thresholds(self, t1):
-        report = normal_subgradient_solve(
-            AffineVIOracle(t1), t1.box, SolverConfig(max_iter=5)
-        )
-        assert report.success(1e-1)
-        assert report.success(1e-9) is (report.best_residual < 1e-9)
 
 
 class TestTraceRetention:
