@@ -34,13 +34,10 @@ from .monotonicity import (
 from .oracles import (
     AffineFractionalInstance,
     AffineFractionalOracle,
-    AffineVIInstance,
-    AffineVIOracle,
     EquilibriumOracle,
+    affine_vi_instance,
     fractional_diagonal_subgradient,
     fractional_value,
-    vi_diagonal_subgradient,
-    vi_value,
 )
 from .rng import rng_stream
 from .serialize import (
@@ -68,8 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineFractionalInstance",
     "AffineFractionalOracle",
-    "AffineVIInstance",
-    "AffineVIOracle",
     "BallSet",
     "BenchmarkReport",
     "BenchmarkRow",
@@ -90,6 +85,7 @@ __all__ = [
     "SolveStatus",
     "SolverConfig",
     "StepSchedule",
+    "affine_vi_instance",
     "best_response_residual",
     "check_paramonotone",
     "compute_a_hat",
@@ -113,8 +109,6 @@ __all__ = [
     "step_alpha",
     "step_length_audit",
     "symmetric_eigenvalues",
-    "vi_diagonal_subgradient",
-    "vi_value",
     "write_benchmark_csv",
     "write_instance_file",
     "write_trace_csv",

@@ -3,15 +3,17 @@
 Each size gets its own seeded batch (seed + size index), every instance
 is solved from the box center, and a solve counts as a success when the
 residual at the returned ``x_final`` (``final_residual``, as in
-``quasieq solve``) falls below the success tolerance.  Wall time is
-measured around the solve call only.
+``quasieq solve``) falls below the success tolerance.  A solve that
+raises is counted in the row by exception type and the sweep goes on.
+Wall time is measured around the solve call only.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
 from .generator import GeneratorConfig, generate_instances
 from .oracles import AffineFractionalOracle
@@ -25,6 +27,12 @@ class BenchmarkRow:
     n_success: int
     mean_time_seconds: float
     mean_error: float
+    # exception type name -> number of solves that raised it
+    failures: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def n_failed(self) -> int:
+        return sum(self.failures.values())
 
 
 @dataclass(frozen=True)
@@ -41,13 +49,13 @@ def run_benchmark(
     seed: int,
     variant: str = "ng2",
     config: SolverConfig | None = None,
-    require_paramonotone: bool = False,
 ) -> BenchmarkReport:
     """Solve ``count`` seeded instances per size and aggregate results.
 
     ``config`` supplies the schedule and tolerances; its variant field is
-    overridden by ``variant`` and tracing is disabled.  Individual solve
-    failures are recorded as non-successes and never abort the sweep.
+    overridden by ``variant`` and tracing is disabled.  A solve that
+    raises counts as a non-success in ``failures`` and never aborts the
+    sweep; the means are over the solves that returned.
     """
     sizes = sorted(set(int(n) for n in sizes))
     if not sizes:
@@ -61,30 +69,30 @@ def run_benchmark(
     for size_index, n in enumerate(sizes):
         instances = generate_instances(GeneratorConfig(
             n=n, count=count, seed=seed + size_index,
-            require_paramonotone=require_paramonotone,
         ))
         successes = 0
         errors: list[float] = []
         times: list[float] = []
+        failures: Counter[str] = Counter()
         for inst in instances:
             oracle = AffineFractionalOracle(inst)
             try:
                 t0 = time.perf_counter()
                 report = normal_subgradient_solve(oracle, inst.box, solver_config)
                 times.append(time.perf_counter() - t0)
-            except Exception:
-                continue  # counted in n_prob, not in the means
-            error = report.final_residual
-            if error is not None:
-                errors.append(error)
-                if error < solver_config.tol_success:
-                    successes += 1
+            except Exception as exc:
+                failures[type(exc).__name__] += 1
+                continue
+            errors.append(report.final_residual)
+            if report.final_residual < solver_config.tol_success:
+                successes += 1
         rows.append(BenchmarkRow(
             n=n,
             n_prob=count,
             n_success=successes,
             mean_time_seconds=math.fsum(times) / len(times) if times else 0.0,
             mean_error=math.fsum(errors) / len(errors) if errors else 0.0,
+            failures=dict(failures),
         ))
     return BenchmarkReport(
         variant=variant,
@@ -101,12 +109,12 @@ def format_benchmark_table(report: BenchmarkReport) -> str:
     )
     lines = [
         header,
-        f"{'n':>5} {'n_prob':>7} {'n_success':>10} "
+        f"{'n':>5} {'n_prob':>7} {'n_success':>10} {'n_failed':>9} "
         f"{'mean_time_s':>12} {'mean_error':>12}",
     ]
     for row in report.rows:
         lines.append(
-            f"{row.n:>5} {row.n_prob:>7} {row.n_success:>10} "
+            f"{row.n:>5} {row.n_prob:>7} {row.n_success:>10} {row.n_failed:>9} "
             f"{row.mean_time_seconds:>12.6f} {row.mean_error:>12.6g}"
         )
     return "\n".join(lines)

@@ -65,10 +65,8 @@ def _cmd_solve(args) -> int:
     print(f"status: {report.status.value}")
     print(f"iterations: {report.iterations}")
     print(f"elapsed_seconds: {report.elapsed_seconds:.6f}")
-    if report.final_residual is not None:
-        print(f"final_residual: {report.final_residual:.6g}")
-    if report.best_residual is not None:
-        print(f"best_residual: {report.best_residual:.6g}")
+    print(f"final_residual: {report.final_residual:.6g}")
+    print(f"best_residual: {report.best_residual:.6g}")
     print(f"x_final: {json.dumps(report.x_final.tolist())}")
     if args.trace:
         write_trace_csv(report, args.trace)

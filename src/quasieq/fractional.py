@@ -174,12 +174,7 @@ def _response_objective(inst, x: np.ndarray) -> FractionalObjective:
                                           inst.c, inst.d)
 
 
-def best_response_residual(
-    inst,
-    x,
-    tol: float = DINKELBACH_TOL,
-    max_iter: int = DINKELBACH_MAX_ITER,
-) -> tuple[np.ndarray, float]:
+def best_response_residual(inst, x) -> tuple[np.ndarray, float]:
     """Best response y* = argmin_y f(x, y) over the instance box and the
     residual -min_y f(x, y).
 
@@ -189,5 +184,5 @@ def best_response_residual(
     """
     x = as_vector(x, "x")
     obj = _response_objective(inst, x)
-    result = dinkelbach_minimize(obj, inst.box, tol=tol, max_iter=max_iter)
+    result = dinkelbach_minimize(obj, inst.box)
     return result.y, obj.ratio(x) - result.value

@@ -1,55 +1,42 @@
-"""Equilibrium oracles: bifunction values, diagonal Greenberg-Pierskalla
-subgradients and best responses.
+"""Equilibrium oracles: diagonal Greenberg-Pierskalla subgradients and
+best-response residuals of the affine-fractional bifunction
 
-Two closed-form families are provided.  The affine-fractional family
+    f(x, y) = <Ax + b, (A1 y + b1)/(c'y + d) - (A1 x + b1)/(c'x + d)>,
 
-    f(x, y) = <Ax + b, (A1 y + b1)/(c'y + d) - (A1 x + b1)/(c'x + d)>
-
-is quasiconvex (in fact quasilinear) in y whenever the denominator is
-positive; its diagonal GP-subgradient at x is the gradient of the
+which is quasiconvex (in fact quasilinear) in y whenever the denominator
+is positive; its diagonal GP-subgradient at x is the gradient of the
 linearized ratio, p - phi_x(x) * c with p = A1'(Ax + b).  The affine
-variational-inequality family f(x, y) = <Mx + r, y - x> is a special
-case with constant denominator and recovers the classical projection
-method.
+variational inequality f(x, y) = <Mx + r, y - x> is the instance with
+A1 = I, b1 = 0, c = 0, d = 1 (`affine_vi_instance`), on which the oracle
+recovers the classical projection method.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .fractional import (
-    DINKELBACH_MAX_ITER,
-    DINKELBACH_TOL,
-    _minimizing_vertex,
-    _response_objective,
-    best_response_residual,
-    response_objective,
-)
+from .fractional import _response_objective, best_response_residual
 from .linalg import as_matrix, as_vector
 from .sets import BoxSet
-
-BestResponse = tuple[np.ndarray, float]
 
 
 @runtime_checkable
 class EquilibriumOracle(Protocol):
-    """Contract the solver consumes: f(x, x) = 0 on the feasible set and
-    diagonal_subgradient(x) returns (unnormalized) g with
-    <g, y - x> < 0 for every y with f(x, y) < 0."""
+    """Contract the solver consumes: diagonal_subgradient(x) returns an
+    (unnormalized) g with <g, y - x> < 0 for every y with f(x, y) < 0,
+    and residual(x) returns -min_y f(x, y) >= 0, which is zero exactly at
+    a solution."""
 
     @property
     def dim(self) -> int: ...
 
-    def value(self, x, y) -> float: ...
-
     def diagonal_subgradient(self, x) -> np.ndarray: ...
 
-    # (y*, min_y f(x, y)) or None when no best response is available
-    best_response: Optional[Callable[[np.ndarray], BestResponse]]
+    def residual(self, x) -> float: ...
 
 
 @dataclass(frozen=True)
@@ -99,28 +86,13 @@ class AffineFractionalInstance:
         return self.box.dim
 
 
-@dataclass(frozen=True)
-class AffineVIInstance:
-    """Variational inequality with F(x) = Mx + r, f(x, y) = <F(x), y - x>."""
-
-    M: np.ndarray
-    r: np.ndarray
-    box: BoxSet
-
-    def __post_init__(self):
-        M = as_matrix(self.M, "M")
-        r = as_vector(self.r, "r")
-        n = self.box.dim
-        if M.shape != (n, n):
-            raise DimensionError(f"M must be {n}x{n}, got {M.shape}")
-        if r.size != n:
-            raise DimensionError(f"r must have dimension {n}")
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "r", r)
-
-    @property
-    def dim(self) -> int:
-        return self.box.dim
+def affine_vi_instance(M, r, box: BoxSet) -> AffineFractionalInstance:
+    """The variational inequality with F(x) = Mx + r, f(x, y) = <F(x), y - x>,
+    as the affine-fractional instance A = M, b = r, A1 = I, b1 = 0, c = 0,
+    d = 1."""
+    n = box.dim
+    return AffineFractionalInstance(A=M, b=r, A1=np.eye(n), b1=np.zeros(n),
+                                    c=np.zeros(n), d=1.0, box=box)
 
 
 def fractional_value(inst: AffineFractionalInstance, x, y) -> float:
@@ -140,67 +112,20 @@ def fractional_diagonal_subgradient(inst: AffineFractionalInstance, x) -> np.nda
     return obj.p - obj.ratio(x) * obj.c
 
 
-def vi_value(inst: AffineVIInstance, x, y) -> float:
-    x = as_vector(x, "x")
-    y = as_vector(y, "y")
-    return float((inst.M @ x + inst.r) @ (y - x))
-
-
-def vi_diagonal_subgradient(inst: AffineVIInstance, x) -> np.ndarray:
-    """Gradient of the affine f(x, .), which is also a GP-subgradient."""
-    x = as_vector(x, "x")
-    return inst.M @ x + inst.r
-
-
 @dataclass(frozen=True)
 class AffineFractionalOracle:
     """Solver-facing oracle over an AffineFractionalInstance; the best
-    response is solved exactly by Dinkelbach iteration."""
+    response behind the residual is solved exactly by Dinkelbach
+    iteration."""
 
     instance: AffineFractionalInstance
-    dinkelbach_tol: float = DINKELBACH_TOL
-    dinkelbach_max_iter: int = DINKELBACH_MAX_ITER
 
     @property
     def dim(self) -> int:
         return self.instance.dim
-
-    def value(self, x, y) -> float:
-        return fractional_value(self.instance, x, y)
 
     def diagonal_subgradient(self, x) -> np.ndarray:
         return fractional_diagonal_subgradient(self.instance, x)
 
-    def best_response(self, x) -> BestResponse:
-        y, residual = best_response_residual(
-            self.instance, x,
-            tol=self.dinkelbach_tol, max_iter=self.dinkelbach_max_iter,
-        )
-        return y, -residual
-
-    def response_objective(self, x):
-        return response_objective(self.instance, x)
-
-
-@dataclass(frozen=True)
-class AffineVIOracle:
-    """Solver-facing oracle over an AffineVIInstance; the best response
-    is the closed-form vertex minimizer of the affine f(x, .)."""
-
-    instance: AffineVIInstance
-
-    @property
-    def dim(self) -> int:
-        return self.instance.dim
-
-    def value(self, x, y) -> float:
-        return vi_value(self.instance, x, y)
-
-    def diagonal_subgradient(self, x) -> np.ndarray:
-        return vi_diagonal_subgradient(self.instance, x)
-
-    def best_response(self, x) -> BestResponse:
-        x = as_vector(x, "x")
-        w = self.instance.M @ x + self.instance.r
-        y = _minimizing_vertex(w, self.instance.box)
-        return y, float(w @ y) - float(w @ x)
+    def residual(self, x) -> float:
+        return best_response_residual(self.instance, x)[1] + 0.0  # avoid -0.0

@@ -156,11 +156,11 @@ def read_trace_csv(path) -> list[dict]:
 def write_benchmark_csv(report, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n", "n_prob", "n_success", "mean_time_seconds",
-                         "mean_error"])
+        writer.writerow(["n", "n_prob", "n_success", "n_failed",
+                         "mean_time_seconds", "mean_error"])
         for row in report.rows:
             writer.writerow([
-                row.n, row.n_prob, row.n_success,
+                row.n, row.n_prob, row.n_success, row.n_failed,
                 _fmt(row.mean_time_seconds), _fmt(row.mean_error),
             ])
 

@@ -4,9 +4,12 @@ problems, in two variants:
 * ng1 iterates x_{k+1} = P_C(x_k - alpha_k g_k) with a unit diagonal
   GP-subgradient g_k and stops on a zero subgradient, an exact projection
   fixed point, or a step shorter than tol_step;
-* ng2 additionally solves the best-response subproblem min_y f(x_k, y)
-  every iteration and stops once the residual -min_y f(x_k, y) drops
-  below tol_residual, which certifies an approximate solution.
+* ng2 additionally asks the oracle for the residual -min_y f(x_k, y)
+  every iteration and stops once it drops below tol_residual, which
+  certifies an approximate solution.
+
+The oracle supplies dim, diagonal_subgradient(x) and residual(x)
+(`oracles.EquilibriumOracle`); the solver needs nothing else.
 
 Both keep a per-iteration trace that can be audited after the fact: the
 step-length bound ||x_{k+1} - x_k|| <= alpha_k and a Fejer-type
@@ -15,6 +18,7 @@ inequality relating consecutive distances to any feasible point.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -27,6 +31,8 @@ from .errors import ConfigurationError, DimensionError
 from .linalg import as_vector
 
 VARIANTS = ("ng1", "ng2")
+# a subgradient of at most this norm counts as zero: x solves the problem
+TOL_ZERO_GRAD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,7 +62,6 @@ class SolverConfig:
     tol_step: float = 1e-4
     tol_residual: float = 1e-3
     tol_success: float = 1e-1
-    tol_zero_grad: float = 1e-12
     # trace retention: None = full, 0 = none, n = last n records
     trace_keep: Optional[int] = None
 
@@ -65,7 +70,7 @@ class SolverConfig:
             raise ConfigurationError(f"variant must be one of {VARIANTS}")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be at least 1")
-        for name in ("tol_step", "tol_residual", "tol_success", "tol_zero_grad"):
+        for name in ("tol_step", "tol_residual", "tol_success"):
             if not getattr(self, name) > 0.0:
                 raise ConfigurationError(f"{name} must be positive")
         if self.trace_keep is not None and self.trace_keep < 0:
@@ -97,8 +102,8 @@ class SolveReport:
     x_final: np.ndarray
     iterations: int
     trace: list[IterationRecord]
-    final_residual: Optional[float]
-    best_residual: Optional[float]
+    final_residual: float
+    best_residual: float
     elapsed_seconds: float
 
 
@@ -109,18 +114,15 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
     The start point is projected onto the feasible set first.  Every
     completed projection step appends an IterationRecord; under ng2 the
     record also carries the residual -min_y f(x_k, y) evaluated at x_k
-    before the step.  final_residual is the residual at x_final whenever
-    a best-response oracle is available (for ng1 this costs one extra
-    call at termination).
+    before the step.  final_residual is always the residual at x_final
+    (for ng1 this costs one extra oracle call at termination), and
+    best_residual the least residual evaluated.
     """
     if oracle.dim != feasible_set.dim:
         raise DimensionError(
             f"oracle dimension {oracle.dim} != set dimension {feasible_set.dim}"
         )
-    best_response = getattr(oracle, "best_response", None)
     ng2 = config.variant == "ng2"
-    if ng2 and best_response is None:
-        raise ConfigurationError("ng2 requires an oracle with a best response")
 
     if x0 is None:
         x0 = feasible_set.center
@@ -130,7 +132,7 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
         trace: "list[IterationRecord] | deque[IterationRecord]" = []
     else:
         trace = deque(maxlen=config.trace_keep)
-    best_residual: Optional[float] = None
+    best_residual = math.inf
     final_residual: Optional[float] = None
     iterations = 0
 
@@ -144,10 +146,8 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
 
         residual: Optional[float] = None
         if ng2:
-            _, min_value = best_response(x)
-            residual = -min_value + 0.0  # avoid -0.0
-            if best_residual is None or residual < best_residual:
-                best_residual = residual
+            residual = oracle.residual(x)
+            best_residual = min(best_residual, residual)
             if residual < config.tol_residual:
                 status = SolveStatus.RESIDUAL_BELOW_TOL
                 final_residual = residual
@@ -155,7 +155,7 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
 
         g = oracle.diagonal_subgradient(x)
         g_raw_norm = float(np.linalg.norm(g))
-        if g_raw_norm <= config.tol_zero_grad:
+        if g_raw_norm <= TOL_ZERO_GRAD:
             status = SolveStatus.ZERO_GRADIENT
             final_residual = residual
             break
@@ -181,12 +181,9 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
         k += 1
     elapsed = time.perf_counter() - start
 
-    if final_residual is None and best_response is not None:
-        _, min_value = best_response(x)
-        final_residual = -min_value + 0.0
-    if final_residual is not None:
-        if best_residual is None or final_residual < best_residual:
-            best_residual = final_residual
+    if final_residual is None:
+        final_residual = oracle.residual(x)
+    best_residual = min(best_residual, final_residual)
 
     return SolveReport(
         status=status,

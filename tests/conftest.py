@@ -2,7 +2,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from quasieq import AffineFractionalInstance, AffineVIInstance, BoxSet
+from quasieq import AffineFractionalInstance, BoxSet, affine_vi_instance
 
 hypothesis.settings.register_profile("pkg", deadline=None)
 hypothesis.settings.load_profile("pkg")
@@ -24,7 +24,7 @@ def e1(unit_box):
 @pytest.fixture
 def t1(unit_box):
     """1-D variational inequality with F(x) = x - 2; solution x* = 2."""
-    return AffineVIInstance(M=[[1.0]], r=[-2.0], box=unit_box)
+    return affine_vi_instance(M=[[1.0]], r=[-2.0], box=unit_box)
 
 
 @pytest.fixture

@@ -34,8 +34,7 @@ from quasieq.monotonicity import check_paramonotone
 from quasieq.oracles import (
     AffineFractionalInstance,
     AffineFractionalOracle,
-    AffineVIInstance,
-    AffineVIOracle,
+    affine_vi_instance,
     fractional_diagonal_subgradient,
     fractional_value,
 )
@@ -79,10 +78,10 @@ def audited_solves():
 
 
 def test_01_toy_vi_convergence(unit_box):
-    t1 = AffineVIInstance(M=[[1.0]], r=[-2.0], box=unit_box)
+    t1 = affine_vi_instance(M=[[1.0]], r=[-2.0], box=unit_box)
     cfg = SolverConfig(variant="ng1", schedule=StepSchedule(1.0))
     report = normal_subgradient_solve(
-        AffineVIOracle(t1), t1.box, cfg, x0=np.array([1.0])
+        AffineFractionalOracle(t1), t1.box, cfg, x0=np.array([1.0])
     )
     error = abs(float(report.x_final[0]) - 2.0)
     ok = error <= 1e-9 and report.iterations <= 5

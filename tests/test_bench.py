@@ -63,6 +63,7 @@ class TestAggregation:
             row = report.rows[0]
             assert row.n_success == n_success
             assert row.mean_error == pytest.approx(final)
+            assert row.n_failed == 0
 
     def test_solver_exception_counts_as_failure(self, monkeypatch):
         def exploding_solve(oracle, feasible_set, config, x0=None):
@@ -76,6 +77,8 @@ class TestAggregation:
         assert row.n_prob == 3
         assert row.n_success == 0
         assert row.mean_error == 0.0
+        assert row.n_failed == 3
+        assert row.failures == {"RuntimeError": 3}
 
 
 class TestReproducibility:
@@ -113,13 +116,14 @@ class TestFormatting:
     def test_table_layout(self):
         report = BenchmarkReport(
             variant="ng2", schedule_scale=100.0, seed=5,
-            rows=(BenchmarkRow(5, 20, 20, 0.001234, 5.6e-05),),
+            rows=(BenchmarkRow(5, 20, 18, 0.001234, 5.6e-05, {"DomainError": 2}),),
         )
         text = format_benchmark_table(report)
         lines = text.splitlines()
         assert "variant=ng2" in lines[0]
         assert "seed=5" in lines[0]
         assert lines[1].split() == [
-            "n", "n_prob", "n_success", "mean_time_s", "mean_error"
+            "n", "n_prob", "n_success", "n_failed", "mean_time_s", "mean_error"
         ]
         assert lines[2].split()[0] == "5"
+        assert lines[2].split()[1:4] == ["20", "18", "2"]

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,15 @@ from quasieq.generator import GeneratorConfig, generate_instances
 from quasieq.oracles import AffineFractionalInstance
 from quasieq.serialize import parse_instance_file, read_trace_csv, write_instance_file
 from quasieq.sets import BoxSet
+
+CHECKOUT = Path(__file__).resolve().parents[1]
+
+
+def _child_env():
+    """Environment for a child interpreter, with the checkout's src first
+    on its path so that the package imports without an install."""
+    path = [str(CHECKOUT / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
 
 
 @pytest.fixture
@@ -155,7 +165,7 @@ class TestEntryPoints:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "quasieq", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_child_env(),
         )
         assert proc.returncode == 0
         assert "solve" in proc.stdout
@@ -167,7 +177,7 @@ class TestEntryPoints:
             import tomllib
         else:
             tomllib = pytest.importorskip("tomli")
-        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        pyproject = CHECKOUT / "pyproject.toml"
         with pyproject.open("rb") as fh:
             target = tomllib.load(fh)["project"]["scripts"]["quasieq"]
         wrapper = (
@@ -180,7 +190,7 @@ class TestEntryPoints:
         )
         proc = subprocess.run(
             [sys.executable, "-c", wrapper, target],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: quasieq")

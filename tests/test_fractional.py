@@ -15,7 +15,7 @@ from quasieq.fractional import (
     response_objective,
 )
 from quasieq.generator import GeneratorConfig, generate_instances
-from quasieq.oracles import AffineFractionalInstance, AffineVIInstance
+from quasieq.oracles import AffineFractionalInstance, affine_vi_instance
 from quasieq.sets import BoxSet
 
 
@@ -222,3 +222,17 @@ class TestBestResponse:
         assert abs(residual) <= 1e-12
         _, residual = best_response_residual(inst, np.array([1.0]))
         assert residual == pytest.approx(2.0, abs=1e-9)
+
+    def test_vi_best_response_takes_at_most_two_rounds(self, rng):
+        # c = 0 makes phi_x affine: the first round's vertex is optimal and
+        # a second round, if any, only confirms it
+        for n in (1, 2, 5, 12):
+            box = BoxSet.uniform(n, 1.0, 3.0)
+            vi = affine_vi_instance(
+                M=rng.uniform(-1.0, 1.0, size=(n, n)),
+                r=rng.uniform(-2.0, 2.0, size=n), box=box,
+            )
+            for _ in range(10):
+                x = rng.uniform(1.0, 3.0, size=n)
+                result = dinkelbach_minimize(response_objective(vi, x), vi.box)
+                assert result.iterations <= 2

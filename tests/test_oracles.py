@@ -7,13 +7,10 @@ from quasieq.generator import GeneratorConfig, generate_instances
 from quasieq.oracles import (
     AffineFractionalInstance,
     AffineFractionalOracle,
-    AffineVIInstance,
-    AffineVIOracle,
     EquilibriumOracle,
+    affine_vi_instance,
     fractional_diagonal_subgradient,
     fractional_value,
-    vi_diagonal_subgradient,
-    vi_value,
 )
 from quasieq.sets import BoxSet
 
@@ -56,11 +53,15 @@ class TestInstanceValidation:
 
     def test_vi_shape_mismatch(self, unit_box):
         with pytest.raises(DimensionError):
-            AffineVIInstance(M=[[1.0, 0.0]], r=[0.0], box=unit_box)
+            affine_vi_instance(M=[[1.0, 0.0]], r=[0.0], box=unit_box)
+
+    def test_vi_vector_length_mismatch(self, unit_box):
+        with pytest.raises(DimensionError):
+            affine_vi_instance(M=[[1.0]], r=[0.0, 1.0], box=unit_box)
 
     def test_rejects_nan(self, unit_box):
         with pytest.raises(ValueError):
-            AffineVIInstance(M=[[np.nan]], r=[0.0], box=unit_box)
+            affine_vi_instance(M=[[np.nan]], r=[0.0], box=unit_box)
 
 
 class TestFractionalValues:
@@ -143,72 +144,89 @@ class TestSubgradientInequality:
                     assert float(np.dot(g, y - x)) < 0.0
 
 
+def _vi_value(M, r, x, y):
+    """f(x, y) = <Mx + r, y - x>, evaluated directly."""
+    return float((M @ x + r) @ (y - x))
+
+
 class TestVIValues:
     def test_worked_values(self, t1):
-        assert vi_value(t1, np.array([1.0]), np.array([3.0])) == -2.0
-        assert vi_value(t1, np.array([2.0]), np.array([2.0])) == 0.0
+        assert fractional_value(t1, np.array([1.0]), np.array([3.0])) == -2.0
+        assert fractional_value(t1, np.array([2.0]), np.array([2.0])) == 0.0
 
     def test_worked_subgradient(self, t1):
         np.testing.assert_array_equal(
-            vi_diagonal_subgradient(t1, np.array([3.0])), [1.0]
+            fractional_diagonal_subgradient(t1, np.array([3.0])), [1.0]
         )
 
     def test_fractional_reduction_matches_vi(self, rng):
-        # A1 = I, b1 = 0, c = 0, d = 1 makes the two bifunctions coincide
+        # A1 = I, b1 = 0, c = 0, d = 1 makes the fractional bifunction the
+        # affine VI's <Mx + r, y - x>, with subgradient Mx + r
         box = BoxSet.uniform(3, 1.0, 3.0)
         M = rng.uniform(0.0, 1.0, size=(3, 3))
         r = rng.uniform(-1.0, 1.0, size=3)
-        vi = AffineVIInstance(M=M, r=r, box=box)
-        frac = AffineFractionalInstance(
-            A=M, b=r, A1=np.eye(3), b1=np.zeros(3), c=np.zeros(3), d=1.0, box=box
-        )
+        vi = affine_vi_instance(M=M, r=r, box=box)
+        np.testing.assert_array_equal(vi.A, M)
+        np.testing.assert_array_equal(vi.b, r)
+        np.testing.assert_array_equal(vi.A1, np.eye(3))
+        np.testing.assert_array_equal(vi.b1, np.zeros(3))
+        np.testing.assert_array_equal(vi.c, np.zeros(3))
+        assert vi.d == 1.0
         for _ in range(10):
             x = rng.uniform(1.0, 3.0, size=3)
             y = rng.uniform(1.0, 3.0, size=3)
-            assert abs(
-                fractional_value(frac, x, y) - vi_value(vi, x, y)
-            ) <= 1e-12
+            assert abs(fractional_value(vi, x, y) - _vi_value(M, r, x, y)) <= 1e-12
             np.testing.assert_allclose(
-                fractional_diagonal_subgradient(frac, x),
-                vi_diagonal_subgradient(vi, x),
-                atol=1e-12,
+                fractional_diagonal_subgradient(vi, x), M @ x + r, atol=1e-12,
             )
 
 
 class TestOracleClasses:
     def test_protocol_conformance(self, e1, t1):
         assert isinstance(AffineFractionalOracle(e1), EquilibriumOracle)
-        assert isinstance(AffineVIOracle(t1), EquilibriumOracle)
+        assert isinstance(AffineFractionalOracle(t1), EquilibriumOracle)
+
+        class NoResidual:
+            dim = 1
+
+            def diagonal_subgradient(self, x):
+                return np.zeros(1)
+
+        assert not isinstance(NoResidual(), EquilibriumOracle)
 
     def test_fractional_oracle_delegates(self, e1):
         oracle = AffineFractionalOracle(e1)
         assert oracle.dim == 1
-        x, y = np.array([1.0]), np.array([3.0])
-        assert oracle.value(x, y) == fractional_value(e1, x, y)
+        x = np.array([3.0])
+        assert oracle.residual(x) == best_response_residual(e1, x)[1]
         np.testing.assert_array_equal(
             oracle.diagonal_subgradient(x), fractional_diagonal_subgradient(e1, x)
         )
 
     def test_fractional_best_response_sign_convention(self, e1):
+        # residual(x) = -min_y f(x, y) = -f(x, y*) >= 0
         oracle = AffineFractionalOracle(e1)
         x = np.array([3.0])
-        y, min_value = oracle.best_response(x)
-        _, residual = best_response_residual(e1, x)
-        assert min_value == pytest.approx(-residual, abs=1e-12)
+        residual = oracle.residual(x)
+        y, _ = best_response_residual(e1, x)
+        assert residual == pytest.approx(-fractional_value(e1, x, y), abs=1e-12)
+        assert residual == pytest.approx(1.5, abs=1e-9)
         np.testing.assert_allclose(y, [1.0], atol=1e-9)
+        assert oracle.residual(np.array([1.0])) == 0.0
 
     def test_vi_best_response_matches_bruteforce(self, rng):
         box = BoxSet.uniform(2, 1.0, 3.0)
-        inst = AffineVIInstance(
-            M=rng.uniform(0, 1, size=(2, 2)), r=rng.uniform(-2, 0, size=2), box=box
-        )
-        oracle = AffineVIOracle(inst)
+        M = rng.uniform(0, 1, size=(2, 2))
+        r = rng.uniform(-2, 0, size=2)
+        inst = affine_vi_instance(M=M, r=r, box=box)
+        oracle = AffineFractionalOracle(inst)
         for _ in range(10):
             x = rng.uniform(1.0, 3.0, size=2)
-            y, min_value = oracle.best_response(x)
+            residual = oracle.residual(x)
             vertex_vals = [
-                vi_value(inst, x, np.array(v))
+                _vi_value(M, r, x, np.array(v))
                 for v in [(1.0, 1.0), (1.0, 3.0), (3.0, 1.0), (3.0, 3.0)]
             ]
-            assert min_value == pytest.approx(min(vertex_vals), abs=1e-12)
-            assert vi_value(inst, x, y) == pytest.approx(min_value, abs=1e-12)
+            assert residual == pytest.approx(-min(vertex_vals), abs=1e-12)
+            y, _ = best_response_residual(inst, x)
+            assert _vi_value(M, r, x, y) == pytest.approx(-residual, abs=1e-12)

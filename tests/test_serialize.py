@@ -6,7 +6,7 @@ import pytest
 from quasieq.errors import InstanceFormatError
 from quasieq.generator import GeneratorConfig, generate_instances
 from quasieq.monotonicity import check_paramonotone
-from quasieq.oracles import AffineFractionalInstance, AffineVIOracle
+from quasieq.oracles import AffineFractionalInstance, AffineFractionalOracle
 from quasieq.serialize import (
     TRACE_HEADER,
     instance_from_dict,
@@ -102,7 +102,7 @@ class TestTraceCSV:
             variant="ng2", schedule=StepSchedule(0.6), max_iter=max_iter
         )
         return normal_subgradient_solve(
-            AffineVIOracle(t1), t1.box, cfg, x0=np.array([1.0])
+            AffineFractionalOracle(t1), t1.box, cfg, x0=np.array([1.0])
         )
 
     def test_two_record_run_gives_three_lines(self, t1, tmp_path):
@@ -130,7 +130,7 @@ class TestTraceCSV:
     def test_residual_column_empty_without_best_response_eval(self, t1, tmp_path):
         cfg = SolverConfig(variant="ng1", schedule=StepSchedule(0.6), max_iter=3)
         report = normal_subgradient_solve(
-            AffineVIOracle(t1), t1.box, cfg, x0=np.array([1.0])
+            AffineFractionalOracle(t1), t1.box, cfg, x0=np.array([1.0])
         )
         path = tmp_path / "trace.csv"
         write_trace_csv(report, path)
@@ -140,7 +140,7 @@ class TestTraceCSV:
     def test_empty_trace_gives_header_only(self, t1, tmp_path):
         cfg = SolverConfig(variant="ng1", schedule=StepSchedule(1.0))
         report = normal_subgradient_solve(
-            AffineVIOracle(t1), t1.box, cfg, x0=np.array([2.0])
+            AffineFractionalOracle(t1), t1.box, cfg, x0=np.array([2.0])
         )
         path = tmp_path / "trace.csv"
         write_trace_csv(report, path)
@@ -159,13 +159,13 @@ class TestBenchmarkCSV:
 
         report = BenchmarkReport(
             variant="ng2", schedule_scale=100.0, seed=1,
-            rows=(BenchmarkRow(5, 20, 19, 0.01, 2.5e-4),),
+            rows=(BenchmarkRow(5, 20, 18, 0.01, 2.5e-4, {"ConvergenceError": 1}),),
         )
         path = tmp_path / "bench.csv"
         write_benchmark_csv(report, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "n,n_prob,n_success,mean_time_seconds,mean_error"
-        assert lines[1].startswith("5,20,19,")
+        assert lines[0] == "n,n_prob,n_success,n_failed,mean_time_seconds,mean_error"
+        assert lines[1].startswith("5,20,18,1,")
 
 
 class TestReportDict:

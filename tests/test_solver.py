@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from quasieq.errors import ConfigurationError, DimensionError
+from quasieq.fractional import best_response_residual
 from quasieq.generator import GeneratorConfig, generate_instances
-from quasieq.oracles import AffineFractionalOracle, AffineVIInstance, AffineVIOracle
+from quasieq.oracles import AffineFractionalOracle, affine_vi_instance
 from quasieq.sets import BoxSet
 from quasieq.solver import (
     IterationRecord,
@@ -70,7 +71,7 @@ class TestToyProblem:
     def test_ng1_two_iterations_from_left_endpoint(self, t1):
         cfg = SolverConfig(variant="ng1", schedule=StepSchedule(1.0))
         report = normal_subgradient_solve(
-            AffineVIOracle(t1), t1.box, cfg, x0=np.array([1.0])
+            AffineFractionalOracle(t1), t1.box, cfg, x0=np.array([1.0])
         )
         assert report.status is SolveStatus.ZERO_GRADIENT
         np.testing.assert_array_equal(report.x_final, [2.0])
@@ -88,7 +89,7 @@ class TestToyProblem:
     def test_ng1_immediate_stop_at_solution(self, t1):
         cfg = SolverConfig(variant="ng1", schedule=StepSchedule(1.0))
         report = normal_subgradient_solve(
-            AffineVIOracle(t1), t1.box, cfg, x0=np.array([2.0])
+            AffineFractionalOracle(t1), t1.box, cfg, x0=np.array([2.0])
         )
         assert report.status is SolveStatus.ZERO_GRADIENT
         assert report.iterations == 1
@@ -98,7 +99,7 @@ class TestToyProblem:
     def test_ng2_stops_on_residual(self, t1):
         cfg = SolverConfig(variant="ng2", schedule=StepSchedule(1.0))
         report = normal_subgradient_solve(
-            AffineVIOracle(t1), t1.box, cfg, x0=np.array([1.0])
+            AffineFractionalOracle(t1), t1.box, cfg, x0=np.array([1.0])
         )
         assert report.status is SolveStatus.RESIDUAL_BELOW_TOL
         np.testing.assert_array_equal(report.x_final, [2.0])
@@ -109,7 +110,7 @@ class TestToyProblem:
     def test_ng1_step_below_tol(self, t1):
         cfg = SolverConfig(variant="ng1", schedule=StepSchedule(1e-5))
         report = normal_subgradient_solve(
-            AffineVIOracle(t1), t1.box, cfg, x0=np.array([1.0])
+            AffineFractionalOracle(t1), t1.box, cfg, x0=np.array([1.0])
         )
         assert report.status is SolveStatus.STEP_BELOW_TOL
         assert report.iterations == 1
@@ -117,23 +118,24 @@ class TestToyProblem:
     def test_max_iter_reached(self, t1):
         cfg = SolverConfig(variant="ng2", schedule=StepSchedule(0.6), max_iter=2)
         report = normal_subgradient_solve(
-            AffineVIOracle(t1), t1.box, cfg, x0=np.array([1.0])
+            AffineFractionalOracle(t1), t1.box, cfg, x0=np.array([1.0])
         )
         assert report.status is SolveStatus.MAX_ITER_REACHED
         assert report.iterations == 2
         assert len(report.trace) == 2
-        assert report.final_residual is not None  # evaluated after the cap
+        # evaluated at the returned point after the cap
+        assert report.final_residual == AffineFractionalOracle(t1).residual(report.x_final)
 
     def test_start_point_is_projected(self, t1):
         cfg = SolverConfig(variant="ng1", schedule=StepSchedule(1.0), max_iter=5)
         report = normal_subgradient_solve(
-            AffineVIOracle(t1), t1.box, cfg, x0=np.array([10.0])
+            AffineFractionalOracle(t1), t1.box, cfg, x0=np.array([10.0])
         )
         np.testing.assert_array_equal(report.trace[0].x, [3.0])
 
     def test_default_start_is_set_center(self, t1):
         report = normal_subgradient_solve(
-            AffineVIOracle(t1), t1.box, SolverConfig(max_iter=5)
+            AffineFractionalOracle(t1), t1.box, SolverConfig(max_iter=5)
         )
         # center of [1, 3] is the solution, so ng2 stops with residual zero
         assert report.status is SolveStatus.RESIDUAL_BELOW_TOL
@@ -141,19 +143,6 @@ class TestToyProblem:
 
 
 class TestSolverGuards:
-    def test_ng2_requires_best_response(self, unit_box):
-        class BareOracle:
-            dim = 1
-
-            def value(self, x, y):
-                return 0.0
-
-            def diagonal_subgradient(self, x):
-                return np.zeros(1)
-
-        with pytest.raises(ConfigurationError):
-            normal_subgradient_solve(BareOracle(), unit_box, SolverConfig())
-
     def test_dimension_mismatch(self, e1):
         box2 = BoxSet.uniform(2, 1.0, 3.0)
         with pytest.raises(DimensionError):
@@ -166,7 +155,7 @@ class TestTraceRetention:
             variant="ng2", schedule=StepSchedule(0.6), max_iter=10, trace_keep=keep
         )
         return normal_subgradient_solve(
-            AffineVIOracle(t1), t1.box, cfg, x0=np.array([1.0])
+            AffineFractionalOracle(t1), t1.box, cfg, x0=np.array([1.0])
         )
 
     def test_full_trace(self, t1):
@@ -215,7 +204,7 @@ class TestAudits:
     def test_fejer_audit_on_toy_hand_trace(self, t1):
         cfg = SolverConfig(variant="ng1", schedule=StepSchedule(1.0))
         report = normal_subgradient_solve(
-            AffineVIOracle(t1), t1.box, cfg, x0=np.array([1.0])
+            AffineFractionalOracle(t1), t1.box, cfg, x0=np.array([1.0])
         )
         assert fejer_audit(report.trace, np.array([2.0]), report.x_final)
 
@@ -276,8 +265,8 @@ class TestIterateBehaviour:
                 oracle, inst.box, SolverConfig(max_iter=50)
             )
             for rec in report.trace[:10]:
-                _, min_value = oracle.best_response(rec.x)
-                assert rec.residual == pytest.approx(-min_value, abs=1e-10)
+                _, residual = best_response_residual(inst, rec.x)
+                assert rec.residual == pytest.approx(residual, abs=1e-10)
 
     def test_subgradient_separates_best_response(self):
         # at any non-solution iterate, moving toward the best response must
@@ -289,7 +278,7 @@ class TestIterateBehaviour:
             )
             for rec in report.trace:
                 if rec.residual is not None and rec.residual > 1e-3:
-                    y, _ = oracle.best_response(rec.x)
+                    y, _ = best_response_residual(inst, rec.x)
                     assert float(rec.g_unit @ (y - rec.x)) < 1e-12
 
     def test_ng2_final_residual_below_tolerance_on_random_instances(self):
@@ -297,8 +286,8 @@ class TestIterateBehaviour:
             oracle = AffineFractionalOracle(inst)
             report = normal_subgradient_solve(oracle, inst.box, SolverConfig())
             if report.status is SolveStatus.RESIDUAL_BELOW_TOL:
-                _, min_value = oracle.best_response(report.x_final)
-                assert -min_value < SolverConfig().tol_residual
+                _, residual = best_response_residual(inst, report.x_final)
+                assert residual < SolverConfig().tol_residual
 
 
 class TestStronglyMonotoneConvergence:
@@ -313,7 +302,7 @@ class TestStronglyMonotoneConvergence:
             b = rng.uniform(0.0, 1.0, size=(5, 5))
             m = np.eye(5) + 0.5 * (b - b.T)
             r = rng.uniform(-6.0, 2.0, size=5)
-            inst = AffineVIInstance(M=m, r=r, box=box)
+            inst = affine_vi_instance(M=m, r=r, box=box)
 
             y = box.center
             for _ in range(100_000):
@@ -323,7 +312,7 @@ class TestStronglyMonotoneConvergence:
                     break
                 y = y_next
 
-            report = normal_subgradient_solve(AffineVIOracle(inst), box, cfg)
+            report = normal_subgradient_solve(AffineFractionalOracle(inst), box, cfg)
             assert report.best_residual < 1e-1
             assert np.linalg.norm(report.x_final - y) < 1e-2
 
