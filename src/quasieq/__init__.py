@@ -19,8 +19,6 @@ from .fractional import (
     FractionalObjective,
     best_response_residual,
     dinkelbach_minimize,
-    grid_bruteforce_minimize,
-    minimize_linear_over_box,
     response_objective,
 )
 from .generator import GeneratorConfig, generate_instances
@@ -47,7 +45,7 @@ from .serialize import (
     write_instance_file,
     write_trace_csv,
 )
-from .sets import BallSet, BoxSet
+from .sets import BoxSet
 from .solver import (
     IterationRecord,
     SolveReport,
@@ -65,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineFractionalInstance",
     "AffineFractionalOracle",
-    "BallSet",
     "BenchmarkReport",
     "BenchmarkRow",
     "BoxSet",
@@ -95,8 +92,6 @@ __all__ = [
     "fractional_diagonal_subgradient",
     "fractional_value",
     "generate_instances",
-    "grid_bruteforce_minimize",
-    "minimize_linear_over_box",
     "normal_subgradient_solve",
     "numeric_rank",
     "paramonotonicity_report",

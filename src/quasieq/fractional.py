@@ -3,8 +3,7 @@
 The workhorse is Dinkelbach iteration: min (p'y + q)/(c'y + d) is found
 by repeatedly minimizing the parametric affine function
 (p - alpha c)'y + (q - alpha d) over the box, which has a closed-form
-vertex solution, and updating alpha to the ratio at the minimizer.  A
-grid brute-force oracle is included for validation in low dimension.
+vertex solution, and updating alpha to the ratio at the minimizer.
 """
 
 from __future__ import annotations
@@ -78,19 +77,9 @@ class DinkelbachResult:
     alphas: tuple[float, ...]
 
 
-def minimize_linear_over_box(w, box: BoxSet) -> tuple[np.ndarray, float]:
-    """argmin of w'y over the box: lo where w > 0, hi where w < 0,
-    ties broken to lo."""
-    w = as_vector(w, "w")
-    if w.size != box.dim:
-        raise DimensionError(f"w has dimension {w.size}, box has {box.dim}")
-    y = _minimizing_vertex(w, box)
-    return y, float(w @ y)
-
-
 def _minimizing_vertex(w: np.ndarray, box: BoxSet) -> np.ndarray:
-    """The vertex minimize_linear_over_box returns, for a w of the box's
-    dimension the package computed itself."""
+    """argmin of w'y over the box: lo where w > 0, hi where w < 0, ties
+    broken to lo.  w must have the box's dimension; it is not checked."""
     return np.where(w < 0.0, box.hi, box.lo)
 
 
@@ -134,30 +123,6 @@ def dinkelbach_minimize(
         last_point=y,
         last_value=alpha,
     )
-
-
-def grid_bruteforce_minimize(
-    obj: FractionalObjective, box: BoxSet, points_per_axis: int
-) -> tuple[np.ndarray, float]:
-    """Exhaustive minimization over a uniform grid including both box
-    endpoints.  Only for dimension <= 3."""
-    if box.dim > 3:
-        raise DimensionError("grid brute force supports dimension <= 3 only")
-    if points_per_axis < 2:
-        raise ValueError("points_per_axis must be at least 2")
-    axes = [
-        np.linspace(box.lo[i], box.hi[i], points_per_axis)
-        for i in range(box.dim)
-    ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    numer = pts @ obj.p + obj.q
-    denom = pts @ obj.c + obj.d
-    if np.any(denom <= 0.0):
-        raise DomainError("denominator is not positive on the grid")
-    vals = numer / denom
-    best = int(np.argmin(vals))
-    return pts[best].copy(), float(vals[best])
 
 
 def response_objective(inst, x) -> FractionalObjective:

@@ -26,13 +26,14 @@ from .sets import BoxSet
 
 @runtime_checkable
 class EquilibriumOracle(Protocol):
-    """Contract the solver consumes: diagonal_subgradient(x) returns an
-    (unnormalized) g with <g, y - x> < 0 for every y with f(x, y) < 0,
-    and residual(x) returns -min_y f(x, y) >= 0, which is zero exactly at
-    a solution."""
+    """Contract the solver consumes: box is the feasible set C,
+    diagonal_subgradient(x) returns an (unnormalized) g with
+    <g, y - x> < 0 for every y in C with f(x, y) < 0, and residual(x)
+    returns -min_{y in C} f(x, y) >= 0, which is zero exactly at a
+    solution."""
 
     @property
-    def dim(self) -> int: ...
+    def box(self) -> BoxSet: ...
 
     def diagonal_subgradient(self, x) -> np.ndarray: ...
 
@@ -121,8 +122,8 @@ class AffineFractionalOracle:
     instance: AffineFractionalInstance
 
     @property
-    def dim(self) -> int:
-        return self.instance.dim
+    def box(self) -> BoxSet:
+        return self.instance.box
 
     def diagonal_subgradient(self, x) -> np.ndarray:
         return fractional_diagonal_subgradient(self.instance, x)

@@ -1,9 +1,5 @@
-"""Feasible sets with Euclidean metric projection.
-
-Only boxes and balls are provided; both expose the same surface
-(``dim``, ``project``, ``contains``, ``center``) so further set types can
-be added without touching the solver.
-"""
+"""The box feasible set and its Euclidean projection, a componentwise
+clip."""
 
 from __future__ import annotations
 
@@ -51,47 +47,6 @@ class BoxSet:
     def contains(self, x, tol: float = 0.0) -> bool:
         v = self._check(x)
         return bool(np.all(v >= self.lo - tol) and np.all(v <= self.hi + tol))
-
-    def _check(self, x) -> np.ndarray:
-        v = as_vector(x, "x")
-        if v.size != self.dim:
-            raise DimensionError(f"x has dimension {v.size}, set has {self.dim}")
-        return v
-
-
-@dataclass(frozen=True)
-class BallSet:
-    """Euclidean ball {x : ||x - center|| <= radius}."""
-
-    center_point: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        c = as_vector(self.center_point, "center")
-        if not self.radius > 0.0:
-            raise ValueError("radius must be strictly positive")
-        object.__setattr__(self, "center_point", c)
-        object.__setattr__(self, "radius", float(self.radius))
-
-    @property
-    def dim(self) -> int:
-        return self.center_point.size
-
-    @property
-    def center(self) -> np.ndarray:
-        return self.center_point.copy()
-
-    def project(self, x) -> np.ndarray:
-        v = self._check(x)
-        diff = v - self.center_point
-        dist = float(np.linalg.norm(diff))
-        if dist <= self.radius:  # includes the degenerate x == center case
-            return v
-        return self.center_point + (self.radius / dist) * diff
-
-    def contains(self, x, tol: float = 0.0) -> bool:
-        v = self._check(x)
-        return float(np.linalg.norm(v - self.center_point)) <= self.radius + tol
 
     def _check(self, x) -> np.ndarray:
         v = as_vector(x, "x")

@@ -8,8 +8,10 @@ problems, in two variants:
   every iteration and stops once it drops below tol_residual, which
   certifies an approximate solution.
 
-The oracle supplies dim, diagonal_subgradient(x) and residual(x)
-(`oracles.EquilibriumOracle`); the solver needs nothing else.
+The oracle supplies its box, diagonal_subgradient(x) and residual(x)
+(`oracles.EquilibriumOracle`); the solver needs nothing else.  The
+feasible set C must be that box, since the residual is measured over it,
+so each step is projected by clipping onto the box's validated bounds.
 
 Both keep a per-iteration trace that can be audited after the fact: the
 step-length bound ||x_{k+1} - x_k|| <= alpha_k and a Fejer-type
@@ -29,6 +31,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError
 from .linalg import as_vector
+from .sets import BoxSet
 
 VARIANTS = ("ng1", "ng2")
 # a subgradient of at most this norm counts as zero: x solves the problem
@@ -109,24 +112,33 @@ class SolveReport:
 
 def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
                              x0=None) -> SolveReport:
-    """Run the normal-subgradient method from x0 (default: set center).
+    """Run the normal-subgradient method from x0 (default: box center).
 
-    The start point is projected onto the feasible set first.  Every
-    completed projection step appends an IterationRecord; under ng2 the
-    record also carries the residual -min_y f(x_k, y) evaluated at x_k
-    before the step.  final_residual is always the residual at x_final
-    (for ng1 this costs one extra oracle call at termination), and
-    best_residual the least residual evaluated.
+    feasible_set must equal the oracle's box (a BoxSet with the same
+    bounds); any other set raises ConfigurationError, or DimensionError
+    when its dimension differs.  The start point is projected onto the
+    box first.  Every completed projection step appends an
+    IterationRecord; under ng2 the record also carries the residual
+    -min_y f(x_k, y) evaluated at x_k before the step.  final_residual is
+    always the residual at x_final (for ng1 this costs one extra oracle
+    call at termination), and best_residual the least residual evaluated.
     """
-    if oracle.dim != feasible_set.dim:
-        raise DimensionError(
-            f"oracle dimension {oracle.dim} != set dimension {feasible_set.dim}"
+    box = oracle.box
+    if not isinstance(feasible_set, BoxSet):
+        raise ConfigurationError(
+            f"feasible set must be the oracle's BoxSet, got {type(feasible_set).__name__}"
         )
+    if feasible_set.dim != box.dim:
+        raise DimensionError(
+            f"oracle dimension {box.dim} != set dimension {feasible_set.dim}"
+        )
+    if not (np.array_equal(feasible_set.lo, box.lo)
+            and np.array_equal(feasible_set.hi, box.hi)):
+        raise ConfigurationError("feasible set differs from the oracle's box")
+    lo, hi = box.lo, box.hi
     ng2 = config.variant == "ng2"
 
-    if x0 is None:
-        x0 = feasible_set.center
-    x = feasible_set.project(x0)
+    x = box.project(box.center if x0 is None else x0)
 
     if config.trace_keep is None:
         trace: "list[IterationRecord] | deque[IterationRecord]" = []
@@ -154,7 +166,7 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
                 break
 
         g = oracle.diagonal_subgradient(x)
-        g_raw_norm = float(np.linalg.norm(g))
+        g_raw_norm = math.sqrt(g @ g)
         if g_raw_norm <= TOL_ZERO_GRAD:
             status = SolveStatus.ZERO_GRADIENT
             final_residual = residual
@@ -162,8 +174,9 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
 
         g_unit = g / g_raw_norm
         alpha = step_alpha(config.schedule, k)
-        x_next = feasible_set.project(x - alpha * g_unit)
-        step_norm = float(np.linalg.norm(x_next - x))
+        x_next = np.clip(x - alpha * g_unit, lo, hi)
+        step = x_next - x
+        step_norm = math.sqrt(step @ step)
         if config.trace_keep != 0:
             trace.append(IterationRecord(
                 k=k, x=x.copy(), g_raw_norm=g_raw_norm, g_unit=g_unit,

@@ -1,0 +1,47 @@
+"""Validation oracles for the box minimizers: the closed-form linear
+minimizer over a box (the vertex rule Dinkelbach's rounds use) and a grid
+brute force for affine-fractional objectives in low dimension.  No solve
+path calls these; the tests compare the package against them."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from quasieq.errors import DimensionError, DomainError
+from quasieq.fractional import FractionalObjective, _minimizing_vertex
+from quasieq.linalg import as_vector
+from quasieq.sets import BoxSet
+
+
+def minimize_linear_over_box(w, box: BoxSet) -> tuple[np.ndarray, float]:
+    """argmin of w'y over the box: lo where w > 0, hi where w < 0,
+    ties broken to lo."""
+    w = as_vector(w, "w")
+    if w.size != box.dim:
+        raise DimensionError(f"w has dimension {w.size}, box has {box.dim}")
+    y = _minimizing_vertex(w, box)
+    return y, float(w @ y)
+
+
+def grid_bruteforce_minimize(
+    obj: FractionalObjective, box: BoxSet, points_per_axis: int
+) -> tuple[np.ndarray, float]:
+    """Exhaustive minimization over a uniform grid including both box
+    endpoints.  Only for dimension <= 3."""
+    if box.dim > 3:
+        raise DimensionError("grid brute force supports dimension <= 3 only")
+    if points_per_axis < 2:
+        raise ValueError("points_per_axis must be at least 2")
+    axes = [
+        np.linspace(box.lo[i], box.hi[i], points_per_axis)
+        for i in range(box.dim)
+    ]
+    grids = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    numer = pts @ obj.p + obj.q
+    denom = pts @ obj.c + obj.d
+    if np.any(denom <= 0.0):
+        raise DomainError("denominator is not positive on the grid")
+    vals = numer / denom
+    best = int(np.argmin(vals))
+    return pts[best].copy(), float(vals[best])

@@ -26,7 +26,6 @@ from quasieq.bench import run_benchmark
 from quasieq.fractional import (
     best_response_residual,
     dinkelbach_minimize,
-    grid_bruteforce_minimize,
     response_objective,
 )
 from quasieq.generator import GeneratorConfig, generate_instances
@@ -47,6 +46,7 @@ from quasieq.solver import (
     normal_subgradient_solve,
     step_length_audit,
 )
+from reference_minimizers import grid_bruteforce_minimize
 
 AUDIT_SIZES = (2, 5, 10)
 AUDIT_COUNT = 20

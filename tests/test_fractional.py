@@ -10,13 +10,12 @@ from quasieq.fractional import (
     FractionalObjective,
     best_response_residual,
     dinkelbach_minimize,
-    grid_bruteforce_minimize,
-    minimize_linear_over_box,
     response_objective,
 )
 from quasieq.generator import GeneratorConfig, generate_instances
 from quasieq.oracles import AffineFractionalInstance, affine_vi_instance
 from quasieq.sets import BoxSet
+from reference_minimizers import grid_bruteforce_minimize, minimize_linear_over_box
 
 
 def _vertex_min(w, box):

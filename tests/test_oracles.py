@@ -187,7 +187,7 @@ class TestOracleClasses:
         assert isinstance(AffineFractionalOracle(t1), EquilibriumOracle)
 
         class NoResidual:
-            dim = 1
+            box = e1.box
 
             def diagonal_subgradient(self, x):
                 return np.zeros(1)
@@ -196,7 +196,7 @@ class TestOracleClasses:
 
     def test_fractional_oracle_delegates(self, e1):
         oracle = AffineFractionalOracle(e1)
-        assert oracle.dim == 1
+        assert oracle.box is e1.box
         x = np.array([3.0])
         assert oracle.residual(x) == best_response_residual(e1, x)[1]
         np.testing.assert_array_equal(

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasieq.errors import DimensionError
-from quasieq.sets import BallSet, BoxSet
+from quasieq.sets import BoxSet
 
 
 def _boxes(max_dim=5):
@@ -92,39 +92,3 @@ class TestBoxSet:
         y = box.lo + np.asarray(frac) * (box.hi - box.lo) + 7.0
         px, py = box.project(x), box.project(y)
         assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
-
-
-class TestBallSet:
-    def test_project_exterior(self):
-        ball = BallSet([0.0, 0.0], 1.0)
-        np.testing.assert_allclose(
-            ball.project(np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-15
-        )
-
-    def test_project_interior_unchanged(self):
-        ball = BallSet([0.0], 2.0)
-        np.testing.assert_array_equal(ball.project(np.array([1.5])), [1.5])
-
-    def test_project_center(self):
-        ball = BallSet([1.0, 1.0], 0.5)
-        np.testing.assert_array_equal(ball.project(np.array([1.0, 1.0])), [1.0, 1.0])
-
-    def test_contains(self):
-        ball = BallSet([0.0, 0.0], 1.0)
-        assert ball.contains(np.array([0.6, 0.8]))
-        assert not ball.contains(np.array([1.0, 1.0]))
-
-    def test_rejects_bad_radius(self):
-        with pytest.raises(ValueError):
-            BallSet([0.0], 0.0)
-
-    @given(
-        st.lists(st.floats(min_value=-20.0, max_value=20.0), min_size=2, max_size=2),
-        st.floats(min_value=0.1, max_value=5.0),
-    )
-    @settings(max_examples=50)
-    def test_projection_idempotent_and_feasible(self, x_raw, radius):
-        ball = BallSet([1.0, -1.0], radius)
-        px = ball.project(np.asarray(x_raw))
-        assert ball.contains(px, tol=1e-10)
-        np.testing.assert_allclose(ball.project(px), px, atol=1e-12)
