@@ -51,10 +51,8 @@ from .solver import (
     SolveReport,
     SolveStatus,
     SolverConfig,
-    StepSchedule,
     fejer_audit,
     normal_subgradient_solve,
-    step_alpha,
     step_length_audit,
 )
 
@@ -81,7 +79,6 @@ __all__ = [
     "SolveReport",
     "SolveStatus",
     "SolverConfig",
-    "StepSchedule",
     "affine_vi_instance",
     "best_response_residual",
     "check_paramonotone",
@@ -101,7 +98,6 @@ __all__ = [
     "rng_stream",
     "run_benchmark",
     "singular_values",
-    "step_alpha",
     "step_length_audit",
     "symmetric_eigenvalues",
     "write_benchmark_csv",

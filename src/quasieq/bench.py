@@ -1,11 +1,13 @@
 """Benchmark sweeps over randomly generated affine-fractional instances.
 
 Each size gets its own seeded batch (seed + size index), every instance
-is solved from the box center, and a solve counts as a success when the
-residual at the returned ``x_final`` (``final_residual``, as in
-``quasieq solve``) falls below the success tolerance.  A solve that
-raises is counted in the row by exception type and the sweep goes on.
-Wall time is measured around the solve call only.
+is solved from the box center with one ``SolverConfig`` (variant, step
+scale alpha_k = scale/(k+1), tolerances), and a solve counts as a
+success when the residual at the returned ``x_final``
+(``final_residual``, as in ``quasieq solve``) falls below the success
+tolerance.  A solve that raises is counted in the row by exception type
+and the sweep goes on.  Wall time is measured around the solve call
+only.
 """
 
 from __future__ import annotations
@@ -47,13 +49,12 @@ def run_benchmark(
     sizes,
     count: int,
     seed: int,
-    variant: str = "ng2",
     config: SolverConfig | None = None,
 ) -> BenchmarkReport:
     """Solve ``count`` seeded instances per size and aggregate results.
 
-    ``config`` supplies the schedule and tolerances; its variant field is
-    overridden by ``variant`` and tracing is disabled.  A solve that
+    ``config`` (default ``SolverConfig()``) supplies the variant, the step
+    scale and the tolerances; tracing is disabled.  A solve that
     raises counts as a non-success in ``failures`` and never aborts the
     sweep; the means are over the solves that returned.
     """
@@ -63,7 +64,7 @@ def run_benchmark(
     if count < 1:
         raise ValueError("count must be at least 1")
     base = config if config is not None else SolverConfig()
-    solver_config = replace(base, variant=variant, trace_keep=0)
+    solver_config = replace(base, trace_keep=0)
 
     rows = []
     for size_index, n in enumerate(sizes):
@@ -95,8 +96,8 @@ def run_benchmark(
             failures=dict(failures),
         ))
     return BenchmarkReport(
-        variant=variant,
-        schedule_scale=solver_config.schedule.scale,
+        variant=solver_config.variant,
+        schedule_scale=solver_config.scale,
         seed=seed,
         rows=tuple(rows),
     )

@@ -24,7 +24,7 @@ from .serialize import (
     write_instance_file,
     write_trace_csv,
 )
-from .solver import SolverConfig, StepSchedule, normal_subgradient_solve
+from .solver import SolverConfig, normal_subgradient_solve
 
 EXIT_OK = 0
 EXIT_SOLVE_FAILURE = 1
@@ -44,7 +44,7 @@ def _add_solver_options(parser):
 def _solver_config(args, trace_keep=0) -> SolverConfig:
     return SolverConfig(
         variant=args.variant,
-        schedule=StepSchedule(args.scale),
+        scale=args.scale,
         max_iter=args.max_iter,
         tol_step=args.tol_step,
         tol_residual=args.tol_residual,
@@ -81,7 +81,6 @@ def _cmd_bench(args) -> int:
         sizes=sizes,
         count=args.count,
         seed=args.seed,
-        variant=args.variant,
         config=_solver_config(args),
     )
     print(format_benchmark_table(report))

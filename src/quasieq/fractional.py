@@ -8,6 +8,7 @@ vertex solution, and updating alpha to the ratio at the minimizer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,13 @@ class FractionalObjective:
         c = as_vector(self.c, "c")
         if p.shape != c.shape:
             raise DimensionError("p and c must have the same dimension")
+        q, d = float(self.q), float(self.d)
+        if not (math.isfinite(q) and math.isfinite(d)):
+            raise ValueError(f"q and d must be finite, got q={q!r}, d={d!r}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "q", float(self.q))
-        object.__setattr__(self, "d", float(self.d))
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "d", d)
 
     @classmethod
     def _unchecked(cls, p: np.ndarray, q: float, c: np.ndarray, d: float):
@@ -83,28 +87,22 @@ def _minimizing_vertex(w: np.ndarray, box: BoxSet) -> np.ndarray:
     return np.where(w < 0.0, box.hi, box.lo)
 
 
-def dinkelbach_minimize(
-    obj: FractionalObjective,
-    box: BoxSet,
-    tol: float = DINKELBACH_TOL,
-    max_iter: int = DINKELBACH_MAX_ITER,
-) -> DinkelbachResult:
+def dinkelbach_minimize(obj: FractionalObjective, box: BoxSet) -> DinkelbachResult:
     """Minimize an affine-fractional objective over a box.
 
     Starting from alpha = obj(box center), each round minimizes
     F(alpha) = min_y (p - alpha c)'y + (q - alpha d) in closed form and
     either stops (|F| below the scaled tolerance) or resets alpha to the
     objective value at the minimizer.  The alpha sequence is
-    nonincreasing; this is asserted each round.
+    nonincreasing; this is asserted each round.  The tolerance and the
+    round cap are DINKELBACH_TOL and DINKELBACH_MAX_ITER.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     if obj.p.size != box.dim:
         raise DimensionError(f"objective has dimension {obj.p.size}, box has {box.dim}")
     y = box.center
     alpha = obj.ratio(y)
     alphas = [alpha]
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, DINKELBACH_MAX_ITER + 1):
         w = obj.p - alpha * obj.c
         y = _minimizing_vertex(w, box)
         f_alpha = float(w @ y) + obj.q - alpha * obj.d
@@ -112,14 +110,14 @@ def dinkelbach_minimize(
         if den <= 0.0:
             raise DomainError(f"denominator {den:g} is not positive at y={y}")
         new_alpha = obj.numerator(y) / den
-        if abs(f_alpha) <= tol * max(1.0, abs(alpha) * den):
+        if abs(f_alpha) <= DINKELBACH_TOL * max(1.0, abs(alpha) * den):
             return DinkelbachResult(y, new_alpha, iteration, tuple(alphas))
         assert new_alpha <= alpha + 1e-12 * max(1.0, abs(alpha)), \
             "Dinkelbach ratio increased"
         alpha = new_alpha
         alphas.append(alpha)
     raise ConvergenceError(
-        f"Dinkelbach did not converge in {max_iter} iterations",
+        f"Dinkelbach did not converge in {DINKELBACH_MAX_ITER} iterations",
         last_point=y,
         last_value=alpha,
     )

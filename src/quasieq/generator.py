@@ -1,18 +1,18 @@
 """Reproducible random affine-fractional instances.
 
-Entries are drawn from the package xoshiro256** stream in a fixed order
-(A row-major, then b, then A1 row-major, then b1, then c, then d), so a
-config reproduces instances bit-for-bit.  Draws whose denominator is not
-strictly positive over the box are rejected and redrawn from the
-continuing stream; with require_paramonotone set, draws failing the
-paramonotonicity certificate are rejected the same way.
+Entries are uniforms in [0, 1) drawn from the package xoshiro256**
+stream in a fixed order (A row-major, then b, then A1 row-major, then
+b1, then c, then d), so a config reproduces instances bit-for-bit.
+Draws whose denominator is not strictly positive over the box are
+rejected and redrawn from the continuing stream; with
+require_paramonotone set, draws failing the paramonotonicity
+certificate are rejected the same way.  More than MAX_REJECTIONS
+rejections in one call raise GenerationError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConfigurationError, DomainError, GenerationError
 from .monotonicity import check_paramonotone
@@ -20,37 +20,29 @@ from .oracles import AffineFractionalInstance
 from .rng import rng_stream
 from .sets import BoxSet
 
+MAX_REJECTIONS = 10000
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
     n: int
     count: int
     seed: int
-    entry_low: float = 0.0
-    entry_high: float = 1.0
     box_low: float = 1.0
     box_high: float = 3.0
     require_paramonotone: bool = False
-    max_rejections: int = 10000
 
     def __post_init__(self):
         if self.n < 1:
             raise ConfigurationError("n must be at least 1")
         if self.count < 1:
             raise ConfigurationError("count must be at least 1")
-        if not self.entry_low < self.entry_high:
-            raise ConfigurationError("entry_low must be below entry_high")
         if not self.box_low < self.box_high:
             raise ConfigurationError("box_low must be below box_high")
 
 
-def _draw_instance(stream, config: GeneratorConfig, box: BoxSet):
-    n = config.n
-    lo, span = config.entry_low, config.entry_high - config.entry_low
-
-    def draw(count):
-        return lo + span * stream.uniforms(count)
-
+def _draw_instance(stream, n: int, box: BoxSet):
+    draw = stream.uniforms
     A = draw(n * n).reshape(n, n)
     b = draw(n)
     A1 = draw(n * n).reshape(n, n)
@@ -68,7 +60,7 @@ def generate_instances(config: GeneratorConfig) -> list[AffineFractionalInstance
     rejections = 0
     while len(instances) < config.count:
         try:
-            inst = _draw_instance(stream, config, box)
+            inst = _draw_instance(stream, config.n, box)
         except DomainError:
             inst = None  # nonpositive denominator over the box
         if inst is not None and config.require_paramonotone:
@@ -76,7 +68,7 @@ def generate_instances(config: GeneratorConfig) -> list[AffineFractionalInstance
                 inst = None
         if inst is None:
             rejections += 1
-            if rejections > config.max_rejections:
+            if rejections > MAX_REJECTIONS:
                 accepted = len(instances)
                 rate = accepted / (accepted + rejections)
                 raise GenerationError(

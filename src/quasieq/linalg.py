@@ -15,6 +15,8 @@ import numpy as np
 from .errors import ConvergenceError, DimensionError
 
 _MAX_SWEEPS = 60
+# relative off-diagonal threshold of the Jacobi sweeps and symmetry check
+_JACOBI_TOL = 1e-12
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
@@ -41,25 +43,24 @@ def frobenius_norm(m: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.asarray(m, dtype=float) ** 2)))
 
 
-def symmetric_eigenvalues(m, tol: float = 1e-12) -> np.ndarray:
+def symmetric_eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, sorted ascending.
 
     Cyclic Jacobi rotations, sweeping the upper triangle in row-major
-    order, until every off-diagonal magnitude is at most tol * ||m||_F.
+    order, until every off-diagonal magnitude is at most
+    _JACOBI_TOL * ||m||_F, for at most _MAX_SWEEPS sweeps.
     """
     a = as_matrix(m, "m")
     n, ncols = a.shape
     if n != ncols:
         raise DimensionError(f"matrix must be square, got {a.shape}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     scale = frobenius_norm(a)
-    if np.max(np.abs(a - a.T), initial=0.0) > tol * max(1.0, scale):
+    if np.max(np.abs(a - a.T), initial=0.0) > _JACOBI_TOL * max(1.0, scale):
         raise ValueError("matrix is not symmetric within tolerance")
     if n == 1:
         return a[0].copy()
     a = 0.5 * (a + a.T)  # kill representation round-off before sweeping
-    threshold = tol * scale
+    threshold = _JACOBI_TOL * scale
     for _ in range(_MAX_SWEEPS):
         off = np.max(np.abs(a - np.diag(np.diag(a))))
         if off <= threshold:
@@ -91,7 +92,7 @@ def symmetric_eigenvalues(m, tol: float = 1e-12) -> np.ndarray:
     return np.sort(np.diag(a))
 
 
-def singular_values(m, tol: float = 1e-12) -> np.ndarray:
+def singular_values(m) -> np.ndarray:
     """Singular values sorted descending, via eigenvalues of M^T M.
 
     Negative eigenvalues produced by round-off are clamped to zero.
@@ -99,7 +100,7 @@ def singular_values(m, tol: float = 1e-12) -> np.ndarray:
     """
     a = as_matrix(m, "m")
     gram = a.T @ a
-    eig = symmetric_eigenvalues(gram, tol)
+    eig = symmetric_eigenvalues(gram)
     vals = np.sqrt(np.clip(eig, 0.0, None))[::-1]
     return vals[: min(a.shape)].copy()
 

@@ -13,6 +13,7 @@ recovers the classical projection method.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -70,6 +71,8 @@ class AffineFractionalInstance:
             if vec.size != n:
                 raise DimensionError(f"{name} must have dimension {n}")
         d = float(self.d)
+        if not math.isfinite(d):
+            raise ValueError(f"d must be finite, got {d!r}")
         min_den = float(np.where(c >= 0.0, c * self.box.lo, c * self.box.hi).sum()) + d
         if not min_den > 0.0:
             raise DomainError(

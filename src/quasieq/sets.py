@@ -44,9 +44,9 @@ class BoxSet:
         v = self._check(x)
         return np.clip(v, self.lo, self.hi)
 
-    def contains(self, x, tol: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         v = self._check(x)
-        return bool(np.all(v >= self.lo - tol) and np.all(v <= self.hi + tol))
+        return bool(np.all(v >= self.lo) and np.all(v <= self.hi))
 
     def _check(self, x) -> np.ndarray:
         v = as_vector(x, "x")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -36,31 +36,16 @@ from .sets import BoxSet
 VARIANTS = ("ng1", "ng2")
 # a subgradient of at most this norm counts as zero: x solves the problem
 TOL_ZERO_GRAD = 1e-12
-
-
-@dataclass(frozen=True)
-class StepSchedule:
-    """Step sizes alpha_k = scale / (k + 1): divergent sum, summable
-    squares."""
-
-    scale: float
-
-    def __post_init__(self):
-        if not self.scale > 0.0:
-            raise ConfigurationError("schedule scale must be positive")
-        object.__setattr__(self, "scale", float(self.scale))
-
-
-def step_alpha(schedule: StepSchedule, k: int) -> float:
-    if k < 0:
-        raise ValueError("iteration index must be nonnegative")
-    return schedule.scale / (k + 1)
+# round-off allowed by step_length_audit and fejer_audit
+STEP_AUDIT_SLACK = 1e-12
+FEJER_AUDIT_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     variant: str = "ng2"
-    schedule: StepSchedule = field(default_factory=lambda: StepSchedule(100.0))
+    # step sizes alpha_k = scale / (k + 1): divergent sum, summable squares
+    scale: float = 100.0
     max_iter: int = 2000
     tol_step: float = 1e-4
     tol_residual: float = 1e-3
@@ -73,9 +58,9 @@ class SolverConfig:
             raise ConfigurationError(f"variant must be one of {VARIANTS}")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be at least 1")
-        for name in ("tol_step", "tol_residual", "tol_success"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigurationError(f"{name} must be positive")
+        for name in ("scale", "tol_step", "tol_residual", "tol_success"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite")
         if self.trace_keep is not None and self.trace_keep < 0:
             raise ConfigurationError("trace_keep must be None or >= 0")
 
@@ -173,7 +158,7 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
             break
 
         g_unit = g / g_raw_norm
-        alpha = step_alpha(config.schedule, k)
+        alpha = config.scale / (k + 1)
         x_next = np.clip(x - alpha * g_unit, lo, hi)
         step = x_next - x
         step_norm = math.sqrt(step @ step)
@@ -209,14 +194,14 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
     )
 
 
-def step_length_audit(trace, slack: float = 1e-12) -> bool:
+def step_length_audit(trace) -> bool:
     """Check ||x_{k+1} - x_k|| <= alpha_k on every record."""
     if not trace:
         raise ValueError("trace is empty")
-    return all(rec.step_norm <= rec.alpha + slack for rec in trace)
+    return all(rec.step_norm <= rec.alpha + STEP_AUDIT_SLACK for rec in trace)
 
 
-def fejer_audit(trace, z, x_final=None, slack: float = 1e-10) -> bool:
+def fejer_audit(trace, z, x_final=None) -> bool:
     """Check the Fejer-type inequality
 
         ||x_{k+1} - z||^2 <= ||x_k - z||^2
@@ -240,6 +225,6 @@ def fejer_audit(trace, z, x_final=None, slack: float = 1e-10) -> bool:
             + 2.0 * rec.alpha * float(rec.g_unit @ (z - rec.x))
             + 2.0 * rec.alpha**2
         )
-        if lhs > rhs + slack:
+        if lhs > rhs + FEJER_AUDIT_SLACK:
             return False
     return True

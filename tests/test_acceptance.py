@@ -41,7 +41,6 @@ from quasieq.sets import BoxSet
 from quasieq.solver import (
     SolveStatus,
     SolverConfig,
-    StepSchedule,
     fejer_audit,
     normal_subgradient_solve,
     step_length_audit,
@@ -79,7 +78,7 @@ def audited_solves():
 
 def test_01_toy_vi_convergence(unit_box):
     t1 = affine_vi_instance(M=[[1.0]], r=[-2.0], box=unit_box)
-    cfg = SolverConfig(variant="ng1", schedule=StepSchedule(1.0))
+    cfg = SolverConfig(variant="ng1", scale=1.0)
     report = normal_subgradient_solve(
         AffineFractionalOracle(t1), t1.box, cfg, x0=np.array([1.0])
     )
@@ -97,7 +96,7 @@ def test_02_step_length_bound(audited_solves):
     violations = 0
     for _, report in audited_solves:
         audited += len(report.trace)
-        if report.trace and not step_length_audit(report.trace, slack=1e-12):
+        if report.trace and not step_length_audit(report.trace):
             violations += 1
     ok = violations == 0 and len(audited_solves) == 60
     _verdict(
@@ -111,7 +110,7 @@ def test_03_fejer_inequality(audited_solves):
     violations = 0
     for inst, report in audited_solves:
         if report.trace and not fejer_audit(
-            report.trace, inst.box.center, report.x_final, slack=1e-10
+            report.trace, inst.box.center, report.x_final
         ):
             violations += 1
     _verdict(
@@ -164,7 +163,8 @@ def test_05_subgradient_separation():
 
 def test_06_ng2_batch():
     t0 = time.perf_counter()
-    report = run_benchmark(sizes=(5, 10, 20), count=20, seed=4100, variant="ng2")
+    report = run_benchmark(sizes=(5, 10, 20), count=20, seed=4100,
+                           config=SolverConfig(variant="ng2"))
     elapsed = time.perf_counter() - t0
     ok = elapsed <= 120.0
     parts = []
@@ -178,7 +178,8 @@ def test_06_ng2_batch():
 
 
 def test_07_ng1_batch():
-    report = run_benchmark(sizes=(5, 10, 20), count=20, seed=4100, variant="ng1")
+    report = run_benchmark(sizes=(5, 10, 20), count=20, seed=4100,
+                           config=SolverConfig(variant="ng1"))
     ok = True
     parts = []
     for row in report.rows:
@@ -247,7 +248,8 @@ def test_09_paramonotonicity_checker():
 
 
 def test_10_benchmark_reproducibility():
-    kwargs = dict(sizes=(5, 10), count=10, seed=4200, variant="ng2")
+    kwargs = dict(sizes=(5, 10), count=10, seed=4200,
+                  config=SolverConfig(variant="ng2"))
     first = run_benchmark(**kwargs)
     second = run_benchmark(**kwargs)
     ok = len(first.rows) == len(second.rows)

@@ -10,7 +10,7 @@ from quasieq.bench import (
 )
 from quasieq.fractional import best_response_residual
 from quasieq.generator import GeneratorConfig, generate_instances
-from quasieq.solver import SolveReport, SolveStatus, SolverConfig, StepSchedule
+from quasieq.solver import SolveReport, SolveStatus, SolverConfig
 
 
 class TestBookkeeping:
@@ -35,10 +35,21 @@ class TestBookkeeping:
         with pytest.raises(ValueError):
             run_benchmark(sizes=(2,), count=0, seed=1)
 
-    def test_variant_recorded(self):
-        report = run_benchmark(sizes=(2,), count=1, seed=3, variant="ng1")
+    def test_variant_recorded(self, monkeypatch):
+        # the config is the only source of the variant: nothing overrides it
+        solved = []
+
+        def recording_solve(oracle, feasible_set, config, x0=None):
+            solved.append((config.variant, config.trace_keep))
+            return real_solve(oracle, feasible_set, config, x0)
+
+        real_solve = bench_module.normal_subgradient_solve
+        monkeypatch.setattr(bench_module, "normal_subgradient_solve", recording_solve)
+        report = run_benchmark(sizes=(2,), count=1, seed=3,
+                               config=SolverConfig(variant="ng1", scale=7.0))
         assert report.variant == "ng1"
-        assert report.schedule_scale == 100.0
+        assert report.schedule_scale == 7.0
+        assert solved == [("ng1", 0)]
 
 
 class TestAggregation:

@@ -31,6 +31,16 @@ def e1_file(e1, tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def infinite_d_file(e1_file, tmp_path):
+    """e1 with "d": Infinity, which JSON parsers accept."""
+    data = json.loads(Path(e1_file).read_text())
+    data["d"] = float("inf")
+    path = tmp_path / "infinite_d.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 class TestSolve:
     def test_solve_reports_status(self, e1_file, capsys):
         assert main(["solve", "--instance", e1_file]) == EXIT_OK
@@ -82,6 +92,19 @@ class TestSolve:
         path.write_text("{")
         assert main(["solve", "--instance", str(path)]) == EXIT_INPUT_ERROR
 
+    def test_infinite_d_is_an_input_error(self, infinite_d_file, capsys):
+        code = main(["solve", "--instance", infinite_d_file])
+        assert code == EXIT_INPUT_ERROR
+        assert "d must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value", [
+        ("--scale", "inf"), ("--scale", "nan"), ("--tol-success", "inf"),
+    ])
+    def test_non_finite_option_is_an_input_error(self, e1_file, option, value, capsys):
+        code = main(["solve", "--instance", e1_file, option, value])
+        assert code == EXIT_INPUT_ERROR
+        assert "positive and finite" in capsys.readouterr().err
+
 
 class TestBench:
     def test_bench_prints_table(self, capsys):
@@ -124,6 +147,11 @@ class TestCheck:
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] is False
         assert payload["min_eigenvalue"] == pytest.approx(-1.0)
+
+    def test_infinite_d_is_an_input_error(self, infinite_d_file, capsys):
+        code = main(["check", "--instance", infinite_d_file])
+        assert code == EXIT_INPUT_ERROR
+        assert "d must be finite" in capsys.readouterr().err
 
 
 class TestGen:

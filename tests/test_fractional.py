@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasieq import fractional
 from quasieq.errors import ConvergenceError, DimensionError, DomainError
 from quasieq.fractional import (
     FractionalObjective,
@@ -74,6 +75,13 @@ class TestFractionalObjective:
         with pytest.raises(DimensionError):
             obj(np.array([1.0]))
 
+    @pytest.mark.parametrize("q, d", [
+        (np.inf, 1.0), (np.nan, 1.0), (0.0, np.inf), (0.0, -np.inf), (0.0, np.nan),
+    ])
+    def test_rejects_non_finite_constants(self, q, d):
+        with pytest.raises(ValueError, match="must be finite"):
+            FractionalObjective(p=[1.0], q=q, c=[1.0], d=d)
+
 
 class TestDinkelbach:
     def test_increasing_ratio(self):
@@ -111,7 +119,7 @@ class TestDinkelbach:
 
     def test_parametric_value_vanishes_at_termination(self, rng):
         box = BoxSet.uniform(2, 1.0, 3.0)
-        tol = 1e-10
+        tol = fractional.DINKELBACH_TOL
         for _ in range(10):
             obj = FractionalObjective(
                 p=rng.uniform(-1, 1, size=2),
@@ -119,7 +127,7 @@ class TestDinkelbach:
                 c=rng.uniform(0, 1, size=2),
                 d=3.0,
             )
-            res = dinkelbach_minimize(obj, box, tol=tol)
+            res = dinkelbach_minimize(obj, box)
             alpha = res.alphas[-1]
             y, lin = minimize_linear_over_box(obj.p - alpha * obj.c, box)
             f_alpha = lin + obj.q - alpha * obj.d
@@ -133,10 +141,11 @@ class TestDinkelbach:
         res = dinkelbach_minimize(obj, box)
         assert box.contains(res.y)
 
-    def test_max_iter_exhaustion_raises(self):
+    def test_max_iter_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(fractional, "DINKELBACH_MAX_ITER", 1)
         obj = FractionalObjective(p=[1.0], q=1.0, c=[1.0], d=2.0)
-        with pytest.raises(ConvergenceError) as err:
-            dinkelbach_minimize(obj, BoxSet.uniform(1, 1.0, 3.0), max_iter=1)
+        with pytest.raises(ConvergenceError, match="in 1 iterations") as err:
+            dinkelbach_minimize(obj, BoxSet.uniform(1, 1.0, 3.0))
         assert err.value.last_point is not None
 
     def test_rejects_objective_of_other_dimension(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quasieq import generator
 from quasieq.errors import ConfigurationError, GenerationError
 from quasieq.generator import GeneratorConfig, generate_instances
 from quasieq.monotonicity import check_paramonotone
@@ -71,7 +72,7 @@ class TestGeneratorConfig:
         [
             {"n": 0, "count": 1, "seed": 1},
             {"n": 1, "count": 0, "seed": 1},
-            {"n": 1, "count": 1, "seed": 1, "entry_low": 1.0, "entry_high": 1.0},
+            {"n": 1, "count": 1, "seed": 1, "box_low": 2.0, "box_high": 2.0},
             {"n": 1, "count": 1, "seed": 1, "box_low": 3.0, "box_high": 1.0},
         ],
     )
@@ -115,11 +116,6 @@ class TestGenerateInstances:
         # c and d come next; the second instance continues the same stream
         np.testing.assert_array_equal(inst.c, rng_stream(31337).uniforms(15)[12:14])
 
-    def test_custom_entry_range(self):
-        cfg = GeneratorConfig(n=2, count=2, seed=5, entry_low=2.0, entry_high=4.0)
-        for inst in generate_instances(cfg):
-            assert np.all(inst.A >= 2.0) and np.all(inst.A < 4.0)
-
     def test_custom_box(self):
         cfg = GeneratorConfig(n=2, count=1, seed=5, box_low=-1.0, box_high=0.0)
         # denominator over [-1, 0]^2 has worst corner at lo; most draws
@@ -137,13 +133,12 @@ class TestGenerateInstances:
         for a, b in zip(instances, repeat):
             np.testing.assert_array_equal(a.A, b.A)
 
-    def test_generation_error_reports_acceptance_rate(self):
-        # entries in [-2, -1) force a negative denominator over [1, 3],
-        # so every draw is rejected
-        cfg = GeneratorConfig(
-            n=2, count=1, seed=3, entry_low=-2.0, entry_high=-1.0,
-            max_rejections=25,
-        )
-        with pytest.raises(GenerationError) as err:
+    def test_generation_error_reports_acceptance_rate(self, monkeypatch):
+        # entries lie in [0, 1), so over [-1e6, -1e5]^2 the denominator
+        # c'y + d is negative unless c is below 1e-6 everywhere: every
+        # draw is rejected
+        monkeypatch.setattr(generator, "MAX_REJECTIONS", 25)
+        cfg = GeneratorConfig(n=2, count=1, seed=3, box_low=-1e6, box_high=-1e5)
+        with pytest.raises(GenerationError, match="rejected 26 draws") as err:
             generate_instances(cfg)
         assert err.value.acceptance_rate == 0.0

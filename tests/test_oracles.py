@@ -63,6 +63,14 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             affine_vi_instance(M=[[np.nan]], r=[0.0], box=unit_box)
 
+    @pytest.mark.parametrize("d", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_d(self, unit_box, d):
+        # d = inf would pass the denominator check and break every ratio
+        with pytest.raises(ValueError, match="d must be finite"):
+            AffineFractionalInstance(
+                A=[[1.0]], b=[0.0], A1=[[1.0]], b1=[0.0], c=[1.0], d=d, box=unit_box
+            )
+
 
 class TestFractionalValues:
     def test_worked_values(self, e1):

@@ -19,7 +19,7 @@ from quasieq.serialize import (
     write_trace_csv,
 )
 from quasieq.sets import BoxSet
-from quasieq.solver import SolverConfig, StepSchedule, normal_subgradient_solve
+from quasieq.solver import SolverConfig, normal_subgradient_solve
 
 
 class TestInstanceJSON:
@@ -99,7 +99,7 @@ class TestInstanceJSON:
 class TestTraceCSV:
     def _report(self, t1, max_iter):
         cfg = SolverConfig(
-            variant="ng2", schedule=StepSchedule(0.6), max_iter=max_iter
+            variant="ng2", scale=0.6, max_iter=max_iter
         )
         return normal_subgradient_solve(
             AffineFractionalOracle(t1), t1.box, cfg, x0=np.array([1.0])
@@ -128,7 +128,7 @@ class TestTraceCSV:
             assert row["residual"] == rec.residual
 
     def test_residual_column_empty_without_best_response_eval(self, t1, tmp_path):
-        cfg = SolverConfig(variant="ng1", schedule=StepSchedule(0.6), max_iter=3)
+        cfg = SolverConfig(variant="ng1", scale=0.6, max_iter=3)
         report = normal_subgradient_solve(
             AffineFractionalOracle(t1), t1.box, cfg, x0=np.array([1.0])
         )
@@ -138,7 +138,7 @@ class TestTraceCSV:
             assert row["residual"] is None
 
     def test_empty_trace_gives_header_only(self, t1, tmp_path):
-        cfg = SolverConfig(variant="ng1", schedule=StepSchedule(1.0))
+        cfg = SolverConfig(variant="ng1", scale=1.0)
         report = normal_subgradient_solve(
             AffineFractionalOracle(t1), t1.box, cfg, x0=np.array([2.0])
         )
