@@ -15,7 +15,7 @@ from pathlib import Path
 from .bench import format_benchmark_table, run_benchmark
 from .errors import ConvergenceError, GenerationError
 from .generator import GeneratorConfig, generate_instances
-from .monotonicity import check_paramonotone
+from .monotonicity import DEFAULT_TOL, check_paramonotone
 from .oracles import AffineFractionalOracle
 from .serialize import (
     parse_instance_file,
@@ -24,7 +24,7 @@ from .serialize import (
     write_instance_file,
     write_trace_csv,
 )
-from .solver import SolverConfig, normal_subgradient_solve
+from .solver import VARIANTS, SolverConfig, normal_subgradient_solve
 
 EXIT_OK = 0
 EXIT_SOLVE_FAILURE = 1
@@ -32,13 +32,13 @@ EXIT_INPUT_ERROR = 2
 
 
 def _add_solver_options(parser):
-    parser.add_argument("--variant", choices=("ng1", "ng2"), default="ng2")
-    parser.add_argument("--scale", type=float, default=100.0,
+    parser.add_argument("--variant", choices=VARIANTS, default=SolverConfig.variant)
+    parser.add_argument("--scale", type=float, default=SolverConfig.scale,
                         help="step sizes are SCALE/(k+1)")
-    parser.add_argument("--max-iter", type=int, default=2000)
-    parser.add_argument("--tol-step", type=float, default=1e-4)
-    parser.add_argument("--tol-residual", type=float, default=1e-3)
-    parser.add_argument("--tol-success", type=float, default=1e-1)
+    parser.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    parser.add_argument("--tol-step", type=float, default=SolverConfig.tol_step)
+    parser.add_argument("--tol-residual", type=float, default=SolverConfig.tol_residual)
+    parser.add_argument("--tol-success", type=float, default=SolverConfig.tol_success)
 
 
 def _solver_config(args, trace_keep=0) -> SolverConfig:
@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="paramonotonicity certificate")
     p_check.add_argument("--instance", required=True)
-    p_check.add_argument("--tol", type=float, default=1e-8)
+    p_check.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_check.set_defaults(func=_cmd_check)
 
     p_gen = sub.add_parser("gen", help="generate random instance files")
@@ -149,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--count", type=int, required=True)
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--box-low", type=float, default=1.0)
-    p_gen.add_argument("--box-high", type=float, default=3.0)
+    p_gen.add_argument("--box-low", type=float, default=GeneratorConfig.box_low)
+    p_gen.add_argument("--box-high", type=float, default=GeneratorConfig.box_high)
     p_gen.add_argument("--require-paramonotone", action="store_true")
     p_gen.set_defaults(func=_cmd_gen)
     return parser

@@ -1,9 +1,11 @@
-"""Minimal dense linear algebra: validation helpers, a cyclic Jacobi
-eigenvalue solver for symmetric matrices, singular values and numeric rank.
+"""Minimal dense linear algebra: validation helpers, numeric rank, and
+singular values and symmetric eigenvalues from one one-sided (Hestenes)
+Jacobi kernel, which never forms M^T M (Demmel & Veselic 1992).
 
-Vectors and matrices are plain float64 numpy arrays.  The Jacobi sweep
-order is fixed (row-major over the upper triangle) so results are
-bit-reproducible across runs.
+Vectors and matrices are plain float64 numpy arrays.  Inputs are scaled
+by a power of two, which is exact, so the sweeps neither overflow nor
+underflow.  The sweep order is fixed (row-major over the upper triangle)
+so results are bit-reproducible across runs.
 """
 
 from __future__ import annotations
@@ -39,70 +41,67 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _power_of_two_near_max(a: np.ndarray) -> float:
+    """2**e with max |a| in [2**e, 2**(e+1)), so dividing by it is exact."""
+    peak = float(np.max(np.abs(a), initial=0.0))
+    return math.ldexp(1.0, math.frexp(peak)[1] - 1)
+
+
 def frobenius_norm(m: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.asarray(m, dtype=float) ** 2)))
+    a = np.asarray(m, dtype=float)
+    scale = _power_of_two_near_max(a)
+    return scale * float(np.sqrt(np.sum((a / scale) ** 2)))
+
+
+def _jacobi_column_norms(a: np.ndarray) -> np.ndarray:
+    """Singular values of a, unsorted: its column norms once rotations of
+    column pairs, in row-major order over the upper triangle, leave every
+    pair with |<a_p, a_q>| <= _JACOBI_TOL ||a_p|| ||a_q||."""
+    scale = _power_of_two_near_max(a)
+    cols = np.ascontiguousarray(a.T) / scale  # row p is column p
+    n = cols.shape[0]
+    for _ in range(_MAX_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                x, y = cols[p], cols[q]
+                gamma = float(x @ y)
+                alpha, beta = float(x @ x), float(y @ y)
+                if abs(gamma) <= _JACOBI_TOL * math.sqrt(alpha) * math.sqrt(beta):
+                    continue
+                rotated = True
+                zeta = (beta - alpha) / (2.0 * gamma)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                cols[p], cols[q] = c * x - s * y, s * x + c * y
+        if not rotated:
+            return scale * np.sqrt(np.einsum("ij,ij->i", cols, cols))
+    raise ConvergenceError(f"Jacobi columns not orthogonal after {_MAX_SWEEPS} sweeps")
 
 
 def symmetric_eigenvalues(m) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, sorted ascending.
-
-    Cyclic Jacobi rotations, sweeping the upper triangle in row-major
-    order, until every off-diagonal magnitude is at most
-    _JACOBI_TOL * ||m||_F, for at most _MAX_SWEEPS sweeps.
-    """
+    """All eigenvalues of a symmetric matrix, sorted ascending: with
+    s = ||m||_F, m + sI is positive semidefinite, so its singular values
+    are its eigenvalues, and s is subtracted again."""
     a = as_matrix(m, "m")
     n, ncols = a.shape
     if n != ncols:
         raise DimensionError(f"matrix must be square, got {a.shape}")
-    scale = frobenius_norm(a)
-    if np.max(np.abs(a - a.T), initial=0.0) > _JACOBI_TOL * max(1.0, scale):
+    shift = frobenius_norm(a)
+    if np.max(np.abs(a - a.T), initial=0.0) > _JACOBI_TOL * max(1.0, shift):
         raise ValueError("matrix is not symmetric within tolerance")
-    if n == 1:
-        return a[0].copy()
     a = 0.5 * (a + a.T)  # kill representation round-off before sweeping
-    threshold = _JACOBI_TOL * scale
-    for _ in range(_MAX_SWEEPS):
-        off = np.max(np.abs(a - np.diag(np.diag(a))))
-        if off <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    else:
-        raise ConvergenceError(
-            f"Jacobi sweeps did not reach off-diagonal threshold {threshold:g}"
-        )
-    return np.sort(np.diag(a))
+    return np.sort(_jacobi_column_norms(a + shift * np.eye(n))) - shift
 
 
 def singular_values(m) -> np.ndarray:
-    """Singular values sorted descending, via eigenvalues of M^T M.
-
-    Negative eigenvalues produced by round-off are clamped to zero.
-    Returns min(rows, cols) values so that m and m.T agree.
-    """
+    """Singular values sorted descending; min(rows, cols) of them, so
+    that m and m.T agree."""
     a = as_matrix(m, "m")
-    gram = a.T @ a
-    eig = symmetric_eigenvalues(gram)
-    vals = np.sqrt(np.clip(eig, 0.0, None))[::-1]
-    return vals[: min(a.shape)].copy()
+    if a.shape[0] < a.shape[1]:
+        a = a.T
+    return np.sort(_jacobi_column_norms(a))[::-1]
 
 
 def numeric_rank(values, tol: float) -> int:
@@ -111,8 +110,8 @@ def numeric_rank(values, tol: float) -> int:
     ``values`` must be nonnegative and sorted descending.
     """
     v = as_vector(values, "values")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if v.size == 0:
         return 0
     if np.any(v < 0.0):

@@ -45,8 +45,8 @@ def compute_a_hat(inst) -> np.ndarray:
 def paramonotonicity_report(a_hat: np.ndarray,
                             tol: float = DEFAULT_TOL) -> ParamonotonicityReport:
     """Certificate for a precomputed A_hat matrix."""
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     a_hat = np.asarray(a_hat, dtype=float)
     sym = 0.5 * (a_hat + a_hat.T)
     slack = tol * max(1.0, frobenius_norm(a_hat))

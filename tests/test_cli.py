@@ -8,11 +8,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quasieq.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_SOLVE_FAILURE, main
+from quasieq.cli import (
+    EXIT_INPUT_ERROR,
+    EXIT_OK,
+    EXIT_SOLVE_FAILURE,
+    _solver_config,
+    build_parser,
+    main,
+)
 from quasieq.generator import GeneratorConfig, generate_instances
+from quasieq.monotonicity import DEFAULT_TOL
 from quasieq.oracles import AffineFractionalInstance
 from quasieq.serialize import parse_instance_file, read_trace_csv, write_instance_file
 from quasieq.sets import BoxSet
+from quasieq.solver import SolverConfig
 
 CHECKOUT = Path(__file__).resolve().parents[1]
 
@@ -153,6 +162,11 @@ class TestCheck:
         assert code == EXIT_INPUT_ERROR
         assert "d must be finite" in capsys.readouterr().err
 
+    def test_infinite_tol_is_an_input_error(self, e1_file, capsys):
+        code = main(["check", "--instance", e1_file, "--tol", "inf"])
+        assert code == EXIT_INPUT_ERROR
+        assert "positive and finite" in capsys.readouterr().err
+
 
 class TestGen:
     def test_gen_writes_parseable_files(self, tmp_path, capsys):
@@ -187,6 +201,18 @@ class TestGen:
             "--out", str(tmp_path / "x"),
         ])
         assert code == EXIT_INPUT_ERROR
+
+
+def test_option_defaults_are_the_config_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["solve", "--instance", "x.json"])
+    assert _solver_config(args) == SolverConfig(trace_keep=0)
+    args = parser.parse_args(["check", "--instance", "x.json"])
+    assert args.tol == DEFAULT_TOL
+    args = parser.parse_args(["gen", "--n", "2", "--count", "1", "--seed", "1",
+                              "--out", "x"])
+    assert (args.box_low, args.box_high) == (
+        GeneratorConfig.box_low, GeneratorConfig.box_high)
 
 
 class TestEntryPoints:

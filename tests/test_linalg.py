@@ -51,6 +51,10 @@ class TestConversions:
 
     def test_frobenius(self):
         assert frobenius_norm(np.array([[3.0, 0.0], [0.0, 4.0]])) == 5.0
+        # computed on m over a power of two, so squares neither overflow
+        # nor underflow
+        assert frobenius_norm(np.array([[3e200, 4e200]])) == pytest.approx(5e200)
+        assert frobenius_norm(np.array([[3e-200, 4e-200]])) == pytest.approx(5e-200)
 
 
 class TestSymmetricEigenvalues:
@@ -104,6 +108,12 @@ class TestSymmetricEigenvalues:
                 np.linalg.svd(m, compute_uv=False),
                 atol=1e-9,
             )
+        # eigenvalues are singular values of m + ||m||_F I shifted back, so
+        # a symmetric pair and a negative scalar exercise the shift's sign
+        for m in ([[0.0, 1.0], [1.0, 0.0]], [[-3.0]]):
+            np.testing.assert_allclose(
+                symmetric_eigenvalues(m), np.linalg.eigvalsh(m), atol=1e-12
+            )
         # the certificate's rank of S from |eig(S)| on a rank-deficient PSD S
         b = rng.normal(size=(6, 3))
         assert paramonotonicity_report(b @ b.T).rank_sym == 3
@@ -112,8 +122,9 @@ class TestSymmetricEigenvalues:
         import quasieq.linalg as linalg
 
         monkeypatch.setattr(linalg, "_MAX_SWEEPS", 0)
-        with pytest.raises(ConvergenceError):
-            symmetric_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        for decompose in (symmetric_eigenvalues, singular_values):
+            with pytest.raises(ConvergenceError):
+                decompose(np.array([[2.0, 1.0], [1.0, 2.0]]))
 
 
 class TestSingularValues:
@@ -141,6 +152,39 @@ class TestSingularValues:
     def test_agrees_with_numpy(self, rng):
         m = rng.normal(size=(4, 4))
         np.testing.assert_allclose(singular_values(m), np.linalg.svd(m)[1], atol=1e-9)
+        # nearly singular U diag(s) V': the smallest singular value keeps its
+        # relative accuracy, and the rank decision at 1e-8 is numpy's
+        for n in (2, 4, 10):
+            u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            for smallest in (1e-10, 1.2e-8):
+                m = u @ np.diag(np.geomspace(1.0, smallest, n)) @ v.T
+                vals, expected = singular_values(m), np.linalg.svd(m)[1]
+                assert vals[-1] == pytest.approx(expected[-1], rel=1e-5)
+                rank = int(np.count_nonzero(expected > 1e-8 * max(1.0, expected[0])))
+                assert numeric_rank(vals, 1e-8) == rank
+
+
+class TestExtremeScale:
+    """Entries far from 1: the Jacobi kernel works on the matrix divided
+    by a power of two, so nothing overflows or underflows."""
+
+    def test_huge_eigenvalues(self):
+        vals = symmetric_eigenvalues(np.array([[0.0, 1e200], [1e200, 0.0]]))
+        np.testing.assert_allclose(vals, [-1e200, 1e200], rtol=1e-12)
+
+    def test_tiny_eigenvalues_keep_their_sign(self):
+        vals = symmetric_eigenvalues(np.diag([1e-170, -1e-170]))
+        np.testing.assert_allclose(vals, [-1e-170, 1e-170], rtol=1e-12)
+
+    def test_huge_singular_values(self):
+        vals = singular_values(np.diag([1e200, -1e190]))
+        np.testing.assert_allclose(vals, [1e200, 1e190], rtol=1e-12)
+
+    def test_huge_certificate(self):
+        report = paramonotonicity_report(np.array([[-1e200]]))
+        assert report.verdict is False
+        assert report.min_eigenvalue == pytest.approx(-1e200)
 
 
 class TestNumericRank:
@@ -165,8 +209,9 @@ class TestNumericRank:
             numeric_rank(np.array([1.0, -0.1]), tol=1e-12)
 
     def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            numeric_rank(np.array([1.0]), tol=0.0)
+        for tol in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                numeric_rank(np.array([1.0]), tol=tol)
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=6),

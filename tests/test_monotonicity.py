@@ -96,8 +96,28 @@ class TestCheckParamonotone:
             assert not check_paramonotone(negated_case, tol=tol).verdict
 
     def test_rejects_bad_tol(self, identity_case):
-        with pytest.raises(ValueError):
-            check_paramonotone(identity_case, tol=0.0)
+        # tol = inf would certify anything, tol = nan would make both ranks 0
+        for tol in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                check_paramonotone(identity_case, tol=tol)
+
+    def test_agrees_with_numpy_on_generated_instances(self):
+        # numpy's LAPACK eigvalsh and svd, decided with the same relative
+        # tolerance and the same rule: S PSD and rank S = rank A_hat
+        tol = monotonicity.DEFAULT_TOL
+        for inst in generate_instances(GeneratorConfig(n=3, count=300, seed=12345)):
+            report = check_paramonotone(inst)
+            a_hat = compute_a_hat(inst)
+            sym = 0.5 * (a_hat + a_hat.T)
+            min_eig = np.linalg.eigvalsh(sym)[0]
+            ranks = []
+            for m in (sym, a_hat):
+                s = np.linalg.svd(m, compute_uv=False)
+                ranks.append(int(np.count_nonzero(s > tol * max(1.0, s[0]))))
+            slack = tol * max(1.0, np.linalg.norm(a_hat))
+            verdict = bool(min_eig >= -slack) and ranks[0] == ranks[1]
+            assert (report.verdict, report.rank_sym, report.rank_a_hat) == (
+                verdict, *ranks)
 
     def test_verdict_agrees_with_sampled_quadratic_forms(self, rng):
         # PSD of the symmetric part means v'Sv >= 0 for every direction;
