@@ -37,7 +37,6 @@ from .oracles import (
     fractional_diagonal_subgradient,
     fractional_value,
 )
-from .rng import rng_stream
 from .serialize import (
     parse_instance_file,
     read_trace_csv,
@@ -95,7 +94,6 @@ __all__ = [
     "parse_instance_file",
     "read_trace_csv",
     "response_objective",
-    "rng_stream",
     "run_benchmark",
     "singular_values",
     "step_length_audit",

@@ -87,10 +87,20 @@ def _minimizing_vertex(w: np.ndarray, box: BoxSet) -> np.ndarray:
     return np.where(w < 0.0, box.hi, box.lo)
 
 
+def _check_denominator(c: np.ndarray, d: float, box: BoxSet) -> None:
+    """DomainError unless min over the box of c'y + d, taken in closed
+    form at the minimizing vertex of c, is positive."""
+    min_den = float(c @ _minimizing_vertex(c, box)) + d
+    if not min_den > 0.0:
+        raise DomainError(f"c'y + d is not positive over the box (minimum {min_den:g})")
+
+
 def dinkelbach_minimize(obj: FractionalObjective, box: BoxSet) -> DinkelbachResult:
     """Minimize an affine-fractional objective over a box.
 
-    Starting from alpha = obj(box center), each round minimizes
+    The denominator must be positive over the whole box; this is checked
+    once.  Starting from alpha = obj(y0), y0 the vertex minimizing p'y
+    (optimal when c = 0), each round minimizes
     F(alpha) = min_y (p - alpha c)'y + (q - alpha d) in closed form and
     either stops (|F| below the scaled tolerance) or resets alpha to the
     objective value at the minimizer.  The alpha sequence is
@@ -99,7 +109,8 @@ def dinkelbach_minimize(obj: FractionalObjective, box: BoxSet) -> DinkelbachResu
     """
     if obj.p.size != box.dim:
         raise DimensionError(f"objective has dimension {obj.p.size}, box has {box.dim}")
-    y = box.center
+    _check_denominator(obj.c, obj.d, box)
+    y = _minimizing_vertex(obj.p, box)
     alpha = obj.ratio(y)
     alphas = [alpha]
     for iteration in range(1, DINKELBACH_MAX_ITER + 1):

@@ -1,10 +1,11 @@
 """Reproducible random affine-fractional instances.
 
-Entries are uniforms in [0, 1) drawn from the package xoshiro256**
-stream in a fixed order (A row-major, then b, then A1 row-major, then
-b1, then c, then d), so a config reproduces instances bit-for-bit.
-Draws whose denominator is not strictly positive over the box are
-rejected and redrawn from the continuing stream; with
+Each candidate instance is one block of 2n^2 + 3n + 1 uniforms in
+[0, 1) from the package xoshiro256** stream, sliced in a fixed order
+(A row-major, then b, then A1 row-major, then b1, then c, then d), so
+a config reproduces instances bit-for-bit.  Draws whose denominator is
+not strictly positive over the box are rejected and the next candidate
+takes the next block of the continuing stream; with
 require_paramonotone set, draws failing the paramonotonicity
 certificate are rejected the same way.  More than MAX_REJECTIONS
 rejections in one call raise GenerationError.
@@ -14,10 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigurationError, DomainError, GenerationError
 from .monotonicity import check_paramonotone
 from .oracles import AffineFractionalInstance
-from .rng import rng_stream
+from .rng import UniformStream
 from .sets import BoxSet
 
 MAX_REJECTIONS = 10000
@@ -41,20 +44,16 @@ class GeneratorConfig:
             raise ConfigurationError("box_low must be below box_high")
 
 
-def _draw_instance(stream, n: int, box: BoxSet):
-    draw = stream.uniforms
-    A = draw(n * n).reshape(n, n)
-    b = draw(n)
-    A1 = draw(n * n).reshape(n, n)
-    b1 = draw(n)
-    c = draw(n)
-    d = float(draw(1)[0])
-    return AffineFractionalInstance(A=A, b=b, A1=A1, b1=b1, c=c, d=d, box=box)
+def _draw_instance(stream: UniformStream, n: int, box: BoxSet):
+    u = stream.uniforms(2 * n * n + 3 * n + 1)
+    A, b, A1, b1, c, d = np.split(u, np.cumsum([n * n, n, n * n, n, n]))
+    return AffineFractionalInstance(A=A.reshape(n, n), b=b, A1=A1.reshape(n, n),
+                                    b1=b1, c=c, d=float(d[0]), box=box)
 
 
 def generate_instances(config: GeneratorConfig) -> list[AffineFractionalInstance]:
     """Draw config.count instances; deterministic for equal configs."""
-    stream = rng_stream(config.seed)
+    stream = UniformStream(config.seed)
     box = BoxSet.uniform(config.n, config.box_low, config.box_high)
     instances: list[AffineFractionalInstance] = []
     rejections = 0

@@ -19,8 +19,8 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
-from .fractional import _response_objective, best_response_residual
+from .errors import DimensionError
+from .fractional import _check_denominator, _response_objective, best_response_residual
 from .linalg import as_matrix, as_vector
 from .sets import BoxSet
 
@@ -73,11 +73,7 @@ class AffineFractionalInstance:
         d = float(self.d)
         if not math.isfinite(d):
             raise ValueError(f"d must be finite, got {d!r}")
-        min_den = float(np.where(c >= 0.0, c * self.box.lo, c * self.box.hi).sum()) + d
-        if not min_den > 0.0:
-            raise DomainError(
-                f"c'y + d must be positive over the box; minimum is {min_den:g}"
-            )
+        _check_denominator(c, d, self.box)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "A1", A1)
         object.__setattr__(self, "b", b)

@@ -1,12 +1,15 @@
 """Reproducible uniform random stream: splitmix64 seeding + xoshiro256**.
 
 The 64-bit seed is expanded into the four xoshiro256** state words with
-splitmix64.  Uniform doubles in [0, 1) take the top 53 bits of each
+splitmix64 (Blackman & Vigna, ACM TOMS 47(4), 2021).  `uniforms` is the
+stream's only method; each uniform in [0, 1) is the top 53 bits of one
 output word, so the stream is bit-identical for equal seeds on any
-platform.
+platform, and uniforms(3) followed by uniforms(4) equals uniforms(7).
 """
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 
@@ -22,10 +25,6 @@ def splitmix64_next(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 class UniformStream:
     """xoshiro256** generator yielding uniforms in [0, 1)."""
 
@@ -35,27 +34,22 @@ class UniformStream:
         for _ in range(4):
             state, word = splitmix64_next(state)
             s.append(word)
-        self._s = s
-
-    def next_uint64(self) -> int:
-        s = self._s
-        result = (_rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s[1] << 17) & _MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
-        return result
-
-    def uniform(self) -> float:
-        return (self.next_uint64() >> 11) * 2.0**-53
+        self._s = tuple(s)
 
     def uniforms(self, count: int) -> np.ndarray:
-        return np.array([self.uniform() for _ in range(count)])
-
-
-def rng_stream(seed: int) -> UniformStream:
-    """Deterministic uniform stream for the given 64-bit seed."""
-    return UniformStream(seed)
+        """The next count uniforms of the stream, as a float64 array."""
+        s0, s1, s2, s3 = self._s
+        words = array("Q")  # 8 bytes a word, not a Python int each
+        append = words.append
+        for _ in range(count):
+            x = (s1 * 5) & _MASK64
+            append((((x << 7) | (x >> 57)) * 9) & _MASK64)  # rotl(x, 7) * 9
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64  # rotl(s3, 45)
+        self._s = (s0, s1, s2, s3)
+        return (np.frombuffer(words, dtype=np.uint64) >> 11) * 2.0**-53

@@ -46,9 +46,8 @@ def instance_from_dict(data: dict) -> AffineFractionalInstance:
     for name in _INSTANCE_FIELDS:
         if name not in data:
             raise InstanceFormatError(f"missing field {name!r}", field=name)
-    try:
-        n = int(data["n"])
-    except (TypeError, ValueError):
+    n = data["n"]
+    if not isinstance(n, int) or isinstance(n, bool):
         raise InstanceFormatError("field 'n' must be an integer", field="n")
     if n < 1:
         raise InstanceFormatError("field 'n' must be at least 1", field="n")

@@ -101,6 +101,15 @@ class TestSolve:
         path.write_text("{")
         assert main(["solve", "--instance", str(path)]) == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("n", [1.7, "1", True])
+    def test_non_integer_n_is_an_input_error(self, e1_file, n, tmp_path, capsys):
+        data = json.loads(Path(e1_file).read_text())
+        data["n"] = n
+        path = tmp_path / "bad_n.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", "--instance", str(path)]) == EXIT_INPUT_ERROR
+        assert "field 'n' must be an integer" in capsys.readouterr().err
+
     def test_infinite_d_is_an_input_error(self, infinite_d_file, capsys):
         code = main(["solve", "--instance", infinite_d_file])
         assert code == EXIT_INPUT_ERROR

@@ -142,8 +142,10 @@ class TestDinkelbach:
         assert box.contains(res.y)
 
     def test_max_iter_exhaustion_raises(self, monkeypatch):
+        # (y + 3)/(y + 0.5) decreases on [1, 3]; from the numerator's
+        # minimizing vertex y = 1 it takes two rounds
         monkeypatch.setattr(fractional, "DINKELBACH_MAX_ITER", 1)
-        obj = FractionalObjective(p=[1.0], q=1.0, c=[1.0], d=2.0)
+        obj = FractionalObjective(p=[1.0], q=3.0, c=[1.0], d=0.5)
         with pytest.raises(ConvergenceError, match="in 1 iterations") as err:
             dinkelbach_minimize(obj, BoxSet.uniform(1, 1.0, 3.0))
         assert err.value.last_point is not None
@@ -157,6 +159,14 @@ class TestDinkelbach:
         # c'y + d = 2 - y vanishes at the center y = 2 of [1, 3]
         obj = FractionalObjective(p=[1.0], q=0.0, c=[-1.0], d=2.0)
         with pytest.raises(DomainError):
+            dinkelbach_minimize(obj, BoxSet.uniform(1, 1.0, 3.0))
+
+    def test_rejects_denominator_negative_away_from_visited_points(self):
+        # c'y + d = 2.5 - y is positive at y = 1, where Dinkelbach would
+        # start and stop with the value 2/3, but negative on (2.5, 3],
+        # where y/(2.5 - y) is unbounded below
+        obj = FractionalObjective(p=[1.0], q=0.0, c=[-1.0], d=2.5)
+        with pytest.raises(DomainError, match="over the box"):
             dinkelbach_minimize(obj, BoxSet.uniform(1, 1.0, 3.0))
 
     def test_agrees_with_grid_on_random_problems(self):
@@ -231,9 +241,9 @@ class TestBestResponse:
         _, residual = best_response_residual(inst, np.array([1.0]))
         assert residual == pytest.approx(2.0, abs=1e-9)
 
-    def test_vi_best_response_takes_at_most_two_rounds(self, rng):
-        # c = 0 makes phi_x affine: the first round's vertex is optimal and
-        # a second round, if any, only confirms it
+    def test_vi_best_response_takes_one_round(self, rng):
+        # c = 0 makes phi_x affine: the numerator's minimizing vertex, where
+        # Dinkelbach starts, is optimal and the first round confirms it
         for n in (1, 2, 5, 12):
             box = BoxSet.uniform(n, 1.0, 3.0)
             vi = affine_vi_instance(
@@ -243,4 +253,4 @@ class TestBestResponse:
             for _ in range(10):
                 x = rng.uniform(1.0, 3.0, size=n)
                 result = dinkelbach_minimize(response_objective(vi, x), vi.box)
-                assert result.iterations <= 2
+                assert result.iterations == 1

@@ -5,7 +5,7 @@ from quasieq import generator
 from quasieq.errors import ConfigurationError, GenerationError
 from quasieq.generator import GeneratorConfig, generate_instances
 from quasieq.monotonicity import check_paramonotone
-from quasieq.rng import UniformStream, rng_stream, splitmix64_next
+from quasieq.rng import UniformStream, splitmix64_next
 
 
 class TestSplitmix64:
@@ -34,30 +34,36 @@ class TestUniformStream:
     )
 
     def test_golden_outputs_seed_zero(self):
-        stream = UniformStream(0)
-        assert tuple(stream.next_uint64() for _ in range(5)) == self.GOLDEN_SEED0
-
-    def test_uniform_is_top_53_bits(self):
-        raw = UniformStream(0)
-        real = UniformStream(0)
-        for _ in range(10):
-            expected = (raw.next_uint64() >> 11) * 2.0**-53
-            assert real.uniform() == expected
+        # each uniform is the top 53 bits of a golden output word
+        expected = [(word >> 11) * 2.0**-53 for word in self.GOLDEN_SEED0]
+        np.testing.assert_array_equal(UniformStream(0).uniforms(5), expected)
 
     def test_first_uniform_seed_zero(self):
-        assert UniformStream(0).uniform() == pytest.approx(
+        assert UniformStream(0).uniforms(1)[0] == pytest.approx(
             0.6012629994179048, abs=0.0
         )
 
     def test_equal_seeds_agree(self):
-        a, b = rng_stream(12345), rng_stream(12345)
+        a, b = UniformStream(12345), UniformStream(12345)
         np.testing.assert_array_equal(a.uniforms(100), b.uniforms(100))
 
     def test_different_seeds_differ(self):
-        assert UniformStream(1).uniform() != UniformStream(2).uniform()
+        assert UniformStream(1).uniforms(1)[0] != UniformStream(2).uniforms(1)[0]
+
+    def test_consecutive_calls_continue_one_stream(self):
+        stream = UniformStream(2024)
+        pieces = [stream.uniforms(3), stream.uniforms(0), stream.uniforms(4)]
+        np.testing.assert_array_equal(np.concatenate(pieces),
+                                      UniformStream(2024).uniforms(7))
+
+    def test_zero_count_is_empty_float_array(self):
+        u = UniformStream(0).uniforms(0)
+        assert u.shape == (0,)
+        assert u.dtype == np.float64
 
     def test_outputs_lie_in_unit_interval(self):
         u = UniformStream(42).uniforms(1_000_000)
+        assert u.dtype == np.float64
         assert u.min() >= 0.0
         assert u.max() < 1.0
 
@@ -107,14 +113,17 @@ class TestGenerateInstances:
 
     def test_draw_order_matches_stream(self):
         # A row-major, then b, A1 row-major, b1, c, d, straight off the stream
-        inst = generate_instances(GeneratorConfig(n=2, count=1, seed=31337))[0]
-        u = rng_stream(31337).uniforms(13)
+        inst, second = generate_instances(GeneratorConfig(n=2, count=2, seed=31337))
+        u = UniformStream(31337).uniforms(30)
         np.testing.assert_array_equal(inst.A, u[0:4].reshape(2, 2))
         np.testing.assert_array_equal(inst.b, u[4:6])
         np.testing.assert_array_equal(inst.A1, u[6:10].reshape(2, 2))
         np.testing.assert_array_equal(inst.b1, u[10:12])
-        # c and d come next; the second instance continues the same stream
-        np.testing.assert_array_equal(inst.c, rng_stream(31337).uniforms(15)[12:14])
+        np.testing.assert_array_equal(inst.c, u[12:14])
+        assert inst.d == u[14]
+        # the second instance takes the next block of the same stream
+        np.testing.assert_array_equal(second.A, u[15:19].reshape(2, 2))
+        assert second.d == u[29]
 
     def test_custom_box(self):
         cfg = GeneratorConfig(n=2, count=1, seed=5, box_low=-1.0, box_high=0.0)

@@ -60,11 +60,13 @@ class TestInstanceJSON:
         assert err.value.field == "A"
 
     def test_bad_n(self, e1):
-        data = instance_to_dict(e1)
-        data["n"] = 0
-        with pytest.raises(InstanceFormatError) as err:
-            instance_from_dict(data)
-        assert err.value.field == "n"
+        # only a JSON integer is a dimension: 1.7, "1" and true are not
+        for bad in (0, 1.7, "1", True):
+            data = instance_to_dict(e1)
+            data["n"] = bad
+            with pytest.raises(InstanceFormatError) as err:
+                instance_from_dict(data)
+            assert err.value.field == "n"
 
     def test_nonpositive_denominator_is_reported_on_c(self, e1):
         data = instance_to_dict(e1)

@@ -16,6 +16,13 @@ SOLVE_LAYERS = (
     "sets.project",
     "linalg.as_vector",
 )
+GENERATION_LAYERS = (
+    "generator",
+    "rng",
+    "monotonicity.check",
+    "linalg.symmetric_eigenvalues",
+    "linalg.singular_values",
+)
 
 
 def _tracer(monkeypatch):
@@ -38,3 +45,14 @@ def test_every_solve_layer_is_counted(monkeypatch):
     for name in SOLVE_LAYERS:
         assert tracer.spans[name].calls > 0, name
 
+
+def test_every_generation_layer_is_counted(monkeypatch):
+    tracer = _tracer(monkeypatch)
+    config = qe.GeneratorConfig(n=3, count=2, seed=12345, require_paramonotone=True)
+    with tracer.installed():
+        qe.generate_instances(config)
+    for name in GENERATION_LAYERS:
+        assert tracer.spans[name].calls > 0, name
+    # every uniform the stream hands out is counted through the binding
+    per_draw = importlib.import_module("tracing").uniforms_per_draw(3)
+    assert tracer.counts["rng.uniforms"] == tracer.counts["generator.draws"] * per_draw
