@@ -1,18 +1,22 @@
 """Reproducible random affine-fractional instances.
 
-Each candidate instance is one block of 2n^2 + 3n + 1 uniforms in
-[0, 1) from the package xoshiro256** stream, sliced in a fixed order
-(A row-major, then b, then A1 row-major, then b1, then c, then d), so
-a config reproduces instances bit-for-bit.  Draws whose denominator is
-not strictly positive over the box are rejected and the next candidate
-takes the next block of the continuing stream; with
+Each candidate instance is one `uniforms(2n^2 + 3n + 1)` call on the
+package xoshiro256** stream, sliced in a fixed order (A row-major, then
+b, then A1 row-major, then b1, then c, then d), so a config reproduces
+instances bit-for-bit.  The stream makes its words in numpy lanes and
+keeps those not yet handed out, so the small draws of one call share
+one refill while each draw still takes the next block of the one
+stream.  Draws whose denominator is not strictly positive over the box
+are rejected and the next candidate takes the next block; with
 require_paramonotone set, draws failing the paramonotonicity
 certificate are rejected the same way.  More than MAX_REJECTIONS
-rejections in one call raise GenerationError.
+rejections in one call raise GenerationError.  n, count and seed must
+be integers (not bools).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +40,13 @@ class GeneratorConfig:
     require_paramonotone: bool = False
 
     def __post_init__(self):
+        # Plain ints pass the cheap type test; the slower ABC check admits
+        # numpy integers and rejects bools and everything else.
+        if not type(self.n) is type(self.count) is type(self.seed) is int:
+            for name in ("n", "count", "seed"):
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ConfigurationError("n must be at least 1")
         if self.count < 1:

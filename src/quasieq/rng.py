@@ -5,15 +5,29 @@ splitmix64 (Blackman & Vigna, ACM TOMS 47(4), 2021).  `uniforms` is the
 stream's only method; each uniform in [0, 1) is the top 53 bits of one
 output word, so the stream is bit-identical for equal seeds on any
 platform, and uniforms(3) followed by uniforms(4) equals uniforms(7).
+
+The words are made in numpy uint64 lanes.  The xoshiro256** state update
+is linear over GF(2), so the state _LANE steps ahead is a fixed 256 x 256
+bit matrix times the state, built once per process into a jump table
+(`_jump_table`).  Lane l starts at that jump applied l times to the
+stream state, all lanes take their _LANE steps together, one numpy step
+per output index, and lane l's outputs are the stream's words
+l*_LANE .. (l+1)*_LANE - 1, written as uniforms into one (lanes, _LANE)
+array.  The stream keeps the uniforms it has made but not handed out and
+refills in blocks of at least _MIN_LANES lanes, so small requests share
+one block.
 """
 
 from __future__ import annotations
 
-from array import array
+import functools
+import numbers
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_LANE = 128  # outputs per lane: the jump table advances a state this many steps
+_MIN_LANES = 64  # smallest refill, in lanes
 
 
 def splitmix64_next(state: int) -> tuple[int, int]:
@@ -25,6 +39,69 @@ def splitmix64_next(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
+def _advance(s: np.ndarray, out: np.ndarray | None) -> None:
+    """Advance every lane (column of the (4, lanes) uint64 state s) by
+    _LANE xoshiro256** steps in place; the uniform made from the j-th
+    output word of lane l goes to out[l, j] unless out is None."""
+    s0, s1, s2, s3 = s
+    low, high, high_reversed = s[:2], s[2:], s[:1:-1]
+    t = np.empty_like(s0)
+    history = None if out is None else out.view(np.uint64)  # s1 before each step
+    for j in range(_LANE):
+        if history is not None:
+            history[:, j] = s1
+        np.left_shift(s1, 17, out=t)
+        high ^= low  # s2 ^= s0, s3 ^= s1
+        low ^= high_reversed  # s0 ^= s3, s1 ^= s2
+        s2 ^= t
+        np.right_shift(s3, 19, out=t)
+        s3 <<= 45
+        s3 |= t  # rotl(s3, 45)
+    if out is None:
+        return
+    # The ** scrambler and the float conversion, in refill-sized pieces so
+    # that their temporaries stay small.
+    for i in range(0, len(out), _MIN_LANES):
+        w = history[i:i + _MIN_LANES]
+        w *= 5
+        t = w >> 57
+        w <<= 7
+        w |= t  # rotl(s1 * 5, 7)
+        w *= 9
+        w >>= 11
+        out[i:i + _MIN_LANES] = w  # overlaps w, so numpy converts via a copy
+        out[i:i + _MIN_LANES] *= 2.0**-53  # the top 53 bits as a uniform
+
+
+@functools.cache
+def _jump_table() -> np.ndarray:
+    """(32 * 256, 4) uint64: row 256 k + v is the state _LANE steps after
+    the state whose byte k is v and whose other bytes are 0.
+
+    The update is linear over GF(2), so the images of the 256 one-bit
+    states (made by the same lane steps) determine every jump, and a
+    state's jump is the XOR of the 32 rows its bytes pick."""
+    units = np.packbits(np.eye(256, dtype=np.uint8), axis=1, bitorder="little")
+    s = units.view(np.uint64).T.copy()  # column i: the state with only bit i set
+    _advance(s, None)
+    bits = s.T.reshape(32, 8, 4)  # the images by byte and bit
+    table = np.zeros((32, 256, 4), dtype=np.uint64)
+    for b in range(8):
+        np.bitwise_xor(table[:, :1 << b], bits[:, b, None], out=table[:, 1 << b:2 << b])
+    table = table.reshape(-1, 4)
+    table.flags.writeable = False
+    return table
+
+
+_BYTE_ROWS = np.arange(0, 32 * 256, 256)
+
+
+def _jump(state: np.ndarray) -> np.ndarray:
+    """The (4,) uint64 state _LANE steps after state."""
+    rows = _jump_table().take(_BYTE_ROWS + state.view(np.uint8), axis=0)
+    return np.bitwise_xor.reduce(rows, axis=0)
+
+
 class UniformStream:
     """xoshiro256** generator yielding uniforms in [0, 1)."""
 
@@ -34,22 +111,36 @@ class UniformStream:
         for _ in range(4):
             state, word = splitmix64_next(state)
             s.append(word)
-        self._s = tuple(s)
+        self._s = np.array(s, dtype=np.uint64)
+        self._made = np.empty(0)  # uniforms made but not yet handed out
+
+    def _refill(self, need: int) -> None:
+        """Make at least need more uniforms (and at least _MIN_LANES lanes)."""
+        lanes = max(_MIN_LANES, -(-need // _LANE))
+        starts = np.empty((lanes, 4), dtype=np.uint64)
+        starts[0] = self._s
+        for lane in range(1, lanes):
+            starts[lane] = _jump(starts[lane - 1])
+        s = starts.T.copy()
+        kept = self._made.size
+        made = np.empty(kept + lanes * _LANE)
+        made[:kept] = self._made
+        _advance(s, made[kept:].reshape(lanes, _LANE))
+        self._s = s[:, -1].copy()  # the last lane ends where the stream resumes
+        self._made = made
 
     def uniforms(self, count: int) -> np.ndarray:
-        """The next count uniforms of the stream, as a float64 array."""
-        s0, s1, s2, s3 = self._s
-        words = array("Q")  # 8 bytes a word, not a Python int each
-        append = words.append
-        for _ in range(count):
-            x = (s1 * 5) & _MASK64
-            append((((x << 7) | (x >> 57)) * 9) & _MASK64)  # rotl(x, 7) * 9
-            t = (s1 << 17) & _MASK64
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64  # rotl(s3, 45)
-        self._s = (s0, s1, s2, s3)
-        return (np.frombuffer(words, dtype=np.uint64) >> 11) * 2.0**-53
+        """The next count uniforms of the stream, as a float64 array.
+
+        A count that is not an integer (a bool is not) raises TypeError;
+        a negative count raises ValueError."""
+        if type(count) is not int:  # the ABC check is slow; most counts are ints
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                raise TypeError(f"count must be an integer, got {count!r}")
+            count = int(count)
+        if count < 0:
+            raise ValueError(f"count must be nonnegative, got {count}")
+        if count > self._made.size:
+            self._refill(count - self._made.size)
+        u, self._made = self._made[:count], self._made[count:]
+        return u

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from quasieq import generator
+from quasieq import generator, rng
 from quasieq.errors import ConfigurationError, GenerationError
 from quasieq.generator import GeneratorConfig, generate_instances
 from quasieq.monotonicity import check_paramonotone
 from quasieq.rng import UniformStream, splitmix64_next
+from reference_rng import ScalarUniformStream, scalar_words, seed_state
+
+LANE = rng._LANE
+BLOCK = rng._MIN_LANES * rng._LANE  # the smallest refill, in words
 
 
 class TestSplitmix64:
@@ -61,6 +67,15 @@ class TestUniformStream:
         assert u.shape == (0,)
         assert u.dtype == np.float64
 
+    @pytest.mark.parametrize("count, error", [(-1, ValueError), (2.5, TypeError),
+                                              (True, TypeError)])
+    def test_rejects_bad_count(self, count, error):
+        stream = UniformStream(0)
+        with pytest.raises(error):
+            stream.uniforms(count)
+        # the stream is untouched
+        np.testing.assert_array_equal(stream.uniforms(3), UniformStream(0).uniforms(3))
+
     def test_outputs_lie_in_unit_interval(self):
         u = UniformStream(42).uniforms(1_000_000)
         assert u.dtype == np.float64
@@ -72,6 +87,43 @@ class TestUniformStream:
         assert abs(u.mean() - 0.5) < 0.01
 
 
+class TestLanesMatchScalarOracle:
+    SEEDS = (0, 12345, 2**64 - 1)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("count", [0, 1, LANE - 1, LANE, LANE + 1,
+                                       BLOCK - 1, BLOCK, BLOCK + 1, 80_601])
+    def test_one_call_is_bit_identical(self, seed, count):
+        got = UniformStream(seed).uniforms(count)
+        assert got.dtype == np.float64
+        assert got.tobytes() == ScalarUniformStream(seed).uniforms(count).tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_jump_equals_lane_scalar_steps(self, seed):
+        state = seed_state(seed)
+        jumped = rng._jump(np.array(state, dtype=np.uint64))
+        assert jumped.dtype == np.uint64
+        assert tuple(int(w) for w in jumped) == scalar_words(state, LANE)[0]
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**64 - 1),
+           counts=st.lists(st.sampled_from([0, 1, LANE - 1, LANE, LANE + 1, BLOCK - 1,
+                                            BLOCK + 1]) | st.integers(0, 3000),
+                           max_size=6),
+           min_lanes=st.sampled_from([1, rng._MIN_LANES]))
+    @example(seed=7, counts=[1, LANE], min_lanes=1)  # the second call refills one lane
+    @example(seed=7, counts=[BLOCK - 1, 2], min_lanes=rng._MIN_LANES)
+    def test_consecutive_calls_continue_one_stream(self, seed, counts, min_lanes):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rng, "_MIN_LANES", min_lanes)
+            stream = UniformStream(seed)
+            pieces = [stream.uniforms(c) for c in counts]
+        joined = np.concatenate([np.empty(0)] + pieces)
+        total = sum(counts)
+        assert joined.tobytes() == UniformStream(seed).uniforms(total).tobytes()
+        assert joined.tobytes() == ScalarUniformStream(seed).uniforms(total).tobytes()
+
+
 class TestGeneratorConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -80,11 +132,21 @@ class TestGeneratorConfig:
             {"n": 1, "count": 0, "seed": 1},
             {"n": 1, "count": 1, "seed": 1, "box_low": 2.0, "box_high": 2.0},
             {"n": 1, "count": 1, "seed": 1, "box_low": 3.0, "box_high": 1.0},
+            {"n": 1, "count": 1.5, "seed": 1},
+            {"n": 1, "count": 1, "seed": 1.7},
+            {"n": 2.5, "count": 1, "seed": 1},
+            {"n": True, "count": 1, "seed": 1},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ConfigurationError):
             GeneratorConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        cfg = GeneratorConfig(n=np.int64(2), count=np.int32(1), seed=np.uint64(7))
+        inst = generate_instances(cfg)[0]
+        np.testing.assert_array_equal(
+            inst.A, generate_instances(GeneratorConfig(n=2, count=1, seed=7))[0].A)
 
 
 class TestGenerateInstances:
