@@ -2,7 +2,7 @@
 
 Subcommands: solve a single instance file, run a benchmark sweep,
 check paramonotonicity, and generate random instance files.  Exit codes:
-0 success, 1 solve/convergence failure, 2 input error.
+0 success, 1 solve failure, 2 input error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .bench import format_benchmark_table, run_benchmark
-from .errors import ConvergenceError, GenerationError
+from .errors import GenerationError
 from .generator import GeneratorConfig, generate_instances
 from .monotonicity import DEFAULT_TOL, check_paramonotone
 from .oracles import AffineFractionalOracle
@@ -57,11 +57,7 @@ def _cmd_solve(args) -> int:
     instance = parse_instance_file(args.instance)
     config = _solver_config(args, trace_keep=None if args.trace else 0)
     oracle = AffineFractionalOracle(instance)
-    try:
-        report = normal_subgradient_solve(oracle, instance.box, config)
-    except ConvergenceError as exc:
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVE_FAILURE
+    report = normal_subgradient_solve(oracle, instance.box, config)
     print(f"status: {report.status.value}")
     print(f"iterations: {report.iterations}")
     print(f"elapsed_seconds: {report.elapsed_seconds:.6f}")
@@ -161,10 +157,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, GenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (ValueError, GenerationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -15,16 +15,7 @@ class ConfigurationError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative routine hit its iteration cap.
-
-    Carries the last iterate and value so callers can inspect how far the
-    routine got.
-    """
-
-    def __init__(self, message, last_point=None, last_value=None):
-        super().__init__(message)
-        self.last_point = last_point
-        self.last_value = last_value
+    """An iterative routine hit its iteration cap."""
 
 
 class InstanceFormatError(ValueError):

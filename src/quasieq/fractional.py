@@ -1,24 +1,23 @@
 """Exact minimization of affine-fractional objectives over a box.
 
 The workhorse is Dinkelbach iteration: min (p'y + q)/(c'y + d) is found
-by repeatedly minimizing the parametric affine function
-(p - alpha c)'y + (q - alpha d) over the box, which has a closed-form
-vertex solution, and updating alpha to the ratio at the minimizer.
+by repeatedly minimizing the parametric linear function (p - alpha c)'y
+over the box, which has a closed-form vertex solution, and updating
+alpha to the ratio at the minimizer.  It stops as soon as the ratio
+stops falling, which takes at most n + 2 rounds and needs no tolerance.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, DomainError
+from .errors import DimensionError, DomainError
 from .linalg import as_vector
 from .sets import BoxSet
-
-DINKELBACH_TOL = 1e-10
-DINKELBACH_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -51,12 +50,6 @@ class FractionalObjective:
         obj = object.__new__(cls)
         obj.__dict__.update(p=p, q=q, c=c, d=d)
         return obj
-
-    def numerator(self, y: np.ndarray) -> float:
-        return float(self.p @ y) + self.q
-
-    def denominator(self, y: np.ndarray) -> float:
-        return float(self.c @ y) + self.d
 
     def ratio(self, y: np.ndarray) -> float:
         """Value at a finite float vector y of the objective's dimension;
@@ -100,12 +93,16 @@ def dinkelbach_minimize(obj: FractionalObjective, box: BoxSet) -> DinkelbachResu
 
     The denominator must be positive over the whole box; this is checked
     once.  Starting from alpha = obj(y0), y0 the vertex minimizing p'y
-    (optimal when c = 0), each round minimizes
-    F(alpha) = min_y (p - alpha c)'y + (q - alpha d) in closed form and
-    either stops (|F| below the scaled tolerance) or resets alpha to the
-    objective value at the minimizer.  The alpha sequence is
-    nonincreasing; this is asserted each round.  The tolerance and the
-    round cap are DINKELBACH_TOL and DINKELBACH_MAX_ITER.
+    (optimal when c = 0), each round takes the vertex y' minimizing
+    (p - alpha c)'y and its ratio alpha'.  The first round whose alpha'
+    is not strictly below alpha ends the loop and returns the vertex and
+    ratio it started from: since y' minimizes the parametric function,
+    no vertex has a ratio below alpha.  alphas holds the strictly falling
+    ratios and iterations counts the rounds, the last one included.
+
+    The rounds end within n + 2: each w_i = fl(p_i - fl(alpha c_i)) is
+    monotone in alpha, so as alpha falls each coordinate of y' flips at
+    most once, and each round after the first that continues flips one.
     """
     if obj.p.size != box.dim:
         raise DimensionError(f"objective has dimension {obj.p.size}, box has {box.dim}")
@@ -113,25 +110,13 @@ def dinkelbach_minimize(obj: FractionalObjective, box: BoxSet) -> DinkelbachResu
     y = _minimizing_vertex(obj.p, box)
     alpha = obj.ratio(y)
     alphas = [alpha]
-    for iteration in range(1, DINKELBACH_MAX_ITER + 1):
-        w = obj.p - alpha * obj.c
-        y = _minimizing_vertex(w, box)
-        f_alpha = float(w @ y) + obj.q - alpha * obj.d
-        den = obj.denominator(y)
-        if den <= 0.0:
-            raise DomainError(f"denominator {den:g} is not positive at y={y}")
-        new_alpha = obj.numerator(y) / den
-        if abs(f_alpha) <= DINKELBACH_TOL * max(1.0, abs(alpha) * den):
-            return DinkelbachResult(y, new_alpha, iteration, tuple(alphas))
-        assert new_alpha <= alpha + 1e-12 * max(1.0, abs(alpha)), \
-            "Dinkelbach ratio increased"
-        alpha = new_alpha
+    for iteration in itertools.count(1):
+        y_next = _minimizing_vertex(obj.p - alpha * obj.c, box)
+        alpha_next = obj.ratio(y_next)
+        if not alpha_next < alpha:
+            return DinkelbachResult(y, alpha, iteration, tuple(alphas))
+        y, alpha = y_next, alpha_next
         alphas.append(alpha)
-    raise ConvergenceError(
-        f"Dinkelbach did not converge in {DINKELBACH_MAX_ITER} iterations",
-        last_point=y,
-        last_value=alpha,
-    )
 
 
 def response_objective(inst, x) -> FractionalObjective:
@@ -152,7 +137,7 @@ def best_response_residual(inst, x) -> tuple[np.ndarray, float]:
     """Best response y* = argmin_y f(x, y) over the instance box and the
     residual -min_y f(x, y).
 
-    The residual is nonnegative up to solver tolerance (y = x is always
+    The residual is nonnegative up to rounding (y = x is always
     feasible) and equals zero exactly when x solves the equilibrium
     problem.
     """

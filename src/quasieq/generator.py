@@ -16,12 +16,12 @@ be integers (not bools).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, GenerationError
+from .linalg import is_integer
 from .monotonicity import check_paramonotone
 from .oracles import AffineFractionalInstance
 from .rng import UniformStream
@@ -45,7 +45,7 @@ class GeneratorConfig:
         if not type(self.n) is type(self.count) is type(self.seed) is int:
             for name in ("n", "count", "seed"):
                 value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                if not is_integer(value):
                     raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ConfigurationError("n must be at least 1")

@@ -11,6 +11,7 @@ so results are bit-reproducible across runs.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -19,6 +20,11 @@ from .errors import ConvergenceError, DimensionError
 _MAX_SWEEPS = 60
 # relative off-diagonal threshold of the Jacobi sweeps and symmetry check
 _JACOBI_TOL = 1e-12
+
+
+def is_integer(value) -> bool:
+    """An integer that is not a bool, numpy integers included."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionError
 from .linalg import (
+    as_matrix,
     frobenius_norm,
     numeric_rank,
     singular_values,
@@ -47,7 +49,9 @@ def paramonotonicity_report(a_hat: np.ndarray,
     """Certificate for a precomputed A_hat matrix."""
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
-    a_hat = np.asarray(a_hat, dtype=float)
+    a_hat = as_matrix(a_hat, "a_hat")
+    if a_hat.shape[0] != a_hat.shape[1]:
+        raise DimensionError(f"a_hat must be square, got shape {a_hat.shape}")
     sym = 0.5 * (a_hat + a_hat.T)
     slack = tol * max(1.0, frobenius_norm(a_hat))
     eig = symmetric_eigenvalues(sym)

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .linalg import as_vector
+from .linalg import as_vector, is_integer
 from .sets import BoxSet
 
 VARIANTS = ("ng1", "ng2")
@@ -56,13 +56,15 @@ class SolverConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"variant must be one of {VARIANTS}")
-        if self.max_iter < 1:
-            raise ConfigurationError("max_iter must be at least 1")
+        if not (is_integer(self.max_iter) and self.max_iter >= 1):
+            raise ConfigurationError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         for name in ("scale", "tol_step", "tol_residual", "tol_success"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ConfigurationError(f"{name} must be positive and finite")
-        if self.trace_keep is not None and self.trace_keep < 0:
-            raise ConfigurationError("trace_keep must be None or >= 0")
+        if not (self.trace_keep is None
+                or is_integer(self.trace_keep) and self.trace_keep >= 0):
+            raise ConfigurationError(
+                f"trace_keep must be None or an integer >= 0, got {self.trace_keep!r}")
 
 
 @dataclass
@@ -131,16 +133,9 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
         trace = deque(maxlen=config.trace_keep)
     best_residual = math.inf
     final_residual: Optional[float] = None
-    iterations = 0
 
     start = time.perf_counter()
-    k = 0
-    while True:
-        if k >= config.max_iter:
-            status = SolveStatus.MAX_ITER_REACHED
-            break
-        iterations = k + 1
-
+    for k in range(config.max_iter):
         residual: Optional[float] = None
         if ng2:
             residual = oracle.residual(x)
@@ -176,7 +171,8 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
         if config.variant == "ng1" and step_norm < config.tol_step:
             status = SolveStatus.STEP_BELOW_TOL
             break
-        k += 1
+    else:
+        status = SolveStatus.MAX_ITER_REACHED
     elapsed = time.perf_counter() - start
 
     if final_residual is None:
@@ -186,7 +182,7 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
     return SolveReport(
         status=status,
         x_final=x,
-        iterations=iterations,
+        iterations=k + 1,
         trace=list(trace),
         final_residual=final_residual,
         best_residual=best_residual,

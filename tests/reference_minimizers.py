@@ -1,7 +1,8 @@
 """Validation oracles for the box minimizers: the closed-form linear
-minimizer over a box (the vertex rule Dinkelbach's rounds use) and a grid
-brute force for affine-fractional objectives in low dimension.  No solve
-path calls these; the tests compare the package against them."""
+minimizer over a box (the vertex rule Dinkelbach's rounds use), a grid
+brute force for affine-fractional objectives in low dimension, and an
+enumeration of the breakpoint chain in any dimension.  No solve path
+calls these; the tests compare the package against them."""
 
 from __future__ import annotations
 
@@ -45,3 +46,28 @@ def grid_bruteforce_minimize(
     vals = numer / denom
     best = int(np.argmin(vals))
     return pts[best].copy(), float(vals[best])
+
+
+def chain_minimize(obj: FractionalObjective, box: BoxSet) -> tuple[np.ndarray, float]:
+    """Least ratio over the vertices that minimize (p - alpha c)'y for some
+    alpha: the minimizing vertex, under both tie-breaks, at every
+    breakpoint p_i/c_i, at the midpoints between consecutive breakpoints
+    and beyond both ends.  The minimum over the box is attained at one of
+    them, since at the optimal ratio alpha* every minimizer of
+    (p - alpha* c)'y is optimal."""
+    p, c = obj.p, obj.c
+    moving = c != 0.0
+    breaks = np.unique(p[moving] / c[moving])
+    if breaks.size:
+        ends = [breaks[0] - 1.0 - abs(breaks[0]), breaks[-1] + 1.0 + abs(breaks[-1])]
+        alphas = np.concatenate([breaks, (breaks[:-1] + breaks[1:]) / 2.0, ends])
+    else:
+        alphas = np.zeros(1)
+    best_y, best = None, np.inf
+    for alpha in alphas:
+        w = p - alpha * c
+        for y in (np.where(w < 0.0, box.hi, box.lo), np.where(w <= 0.0, box.hi, box.lo)):
+            value = obj.ratio(y)
+            if value < best:
+                best_y, best = y, value
+    return best_y, best

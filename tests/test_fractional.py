@@ -1,12 +1,13 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasieq import fractional
-from quasieq.errors import ConvergenceError, DimensionError, DomainError
+from quasieq.cli import main
+from quasieq.errors import DimensionError, DomainError
 from quasieq.fractional import (
     FractionalObjective,
     best_response_residual,
@@ -15,8 +16,17 @@ from quasieq.fractional import (
 )
 from quasieq.generator import GeneratorConfig, generate_instances
 from quasieq.oracles import AffineFractionalInstance, affine_vi_instance
+from quasieq.serialize import parse_instance_file
 from quasieq.sets import BoxSet
-from reference_minimizers import grid_bruteforce_minimize, minimize_linear_over_box
+from reference_minimizers import (
+    chain_minimize,
+    grid_bruteforce_minimize,
+    minimize_linear_over_box,
+)
+
+# box [1, 3]^7, coefficients spread over 10^±6, c of mixed sign: at the
+# box center the old tolerance-based stopping rule never stopped
+SPREAD_N7 = Path(__file__).parent / "data" / "dinkelbach_spread_n7.json"
 
 
 def _vertex_min(w, box):
@@ -115,11 +125,13 @@ class TestDinkelbach:
             )
             res = dinkelbach_minimize(obj, box)
             alphas = np.asarray(res.alphas)
-            assert np.all(np.diff(alphas) <= 1e-12)
+            assert np.all(np.diff(alphas) < 0.0)
+            assert res.value == alphas[-1]
 
     def test_parametric_value_vanishes_at_termination(self, rng):
+        # the returned ratio alpha is attained, so F(alpha) <= 0; the vertex
+        # minimizing (p - alpha c)'y has a ratio not below alpha, so F(alpha) >= 0
         box = BoxSet.uniform(2, 1.0, 3.0)
-        tol = fractional.DINKELBACH_TOL
         for _ in range(10):
             obj = FractionalObjective(
                 p=rng.uniform(-1, 1, size=2),
@@ -128,10 +140,9 @@ class TestDinkelbach:
                 d=3.0,
             )
             res = dinkelbach_minimize(obj, box)
-            alpha = res.alphas[-1]
-            y, lin = minimize_linear_over_box(obj.p - alpha * obj.c, box)
-            f_alpha = lin + obj.q - alpha * obj.d
-            assert abs(f_alpha) <= tol * max(1.0, abs(alpha) * obj.denominator(y))
+            assert obj.ratio(res.y) == res.value == res.alphas[-1]
+            y, _ = minimize_linear_over_box(obj.p - res.value * obj.c, box)
+            assert obj.ratio(y) >= res.value
 
     def test_minimizer_is_feasible(self, rng):
         box = BoxSet.uniform(2, 1.0, 3.0)
@@ -140,15 +151,6 @@ class TestDinkelbach:
         )
         res = dinkelbach_minimize(obj, box)
         assert box.contains(res.y)
-
-    def test_max_iter_exhaustion_raises(self, monkeypatch):
-        # (y + 3)/(y + 0.5) decreases on [1, 3]; from the numerator's
-        # minimizing vertex y = 1 it takes two rounds
-        monkeypatch.setattr(fractional, "DINKELBACH_MAX_ITER", 1)
-        obj = FractionalObjective(p=[1.0], q=3.0, c=[1.0], d=0.5)
-        with pytest.raises(ConvergenceError, match="in 1 iterations") as err:
-            dinkelbach_minimize(obj, BoxSet.uniform(1, 1.0, 3.0))
-        assert err.value.last_point is not None
 
     def test_rejects_objective_of_other_dimension(self):
         obj = FractionalObjective(p=[1.0, 0.0], q=1.0, c=[0.0, 1.0], d=2.0)
@@ -180,6 +182,84 @@ class TestDinkelbach:
             _, grid_val = grid_bruteforce_minimize(obj, inst.box, points_per_axis=401)
             assert abs(res.value - grid_val) <= 1e-3
             assert res.iterations <= 20
+
+
+def _objective_on_box(rng, kind, n):
+    """A seeded objective on a seeded integer box, with d set so that the
+    denominator's minimum over the box is 1 (plus a relative margin for
+    "spread", whose sums round)."""
+    lo = rng.integers(-2, 2, size=n).astype(float)
+    box = BoxSet(lo, lo + rng.integers(1, 4, size=n))
+    q, margin = float(rng.integers(-3, 4)), 0.0
+    if kind == "integer":  # ties w_i = 0 and repeated breakpoints abound
+        p, c = rng.integers(-3, 4, size=(2, n)).astype(float)
+    elif kind == "equal-breakpoints":  # p_i / c_i takes at most two values
+        c = rng.choice([-2.0, -1.0, 1.0, 3.0], size=n)
+        p = rng.choice([-1.0, 2.0], size=n) * c
+    elif kind == "c-zero":
+        p, c = rng.integers(-3, 4, size=n).astype(float), np.zeros(n)
+    elif kind == "mixed-sign":
+        p, c = rng.uniform(-1.0, 1.0, size=(2, n))
+    else:  # "spread": magnitudes over 10^±8, both signs
+        signs = rng.choice([-1.0, 1.0], size=2 * n + 1)
+        spread = signs * 10.0 ** rng.uniform(-8, 8, size=2 * n + 1)
+        p, c, (q,) = np.split(spread, [n, 2 * n])
+    y_den = np.where(c < 0.0, box.hi, box.lo)
+    if kind == "spread":
+        margin = 1e-6 * float(np.abs(c) @ np.abs(y_den))
+    d = 1.0 + margin - float(c @ y_den)
+    return FractionalObjective(p=p, q=q, c=c, d=d), box
+
+
+def _ratio_rounding_bound(obj, y):
+    """First-order bound on the rounding error of obj.ratio(y): two sums
+    of n + 1 terms and one division."""
+    terms = obj.p.size + 1
+    den, ratio = float(obj.c @ y) + obj.d, obj.ratio(y)
+    num_abs = float(np.abs(obj.p) @ np.abs(y)) + abs(obj.q)
+    den_abs = float(np.abs(obj.c) @ np.abs(y)) + abs(obj.d)
+    return 0.5 * np.finfo(float).eps * (terms * (num_abs + abs(ratio) * den_abs) / den
+                                        + abs(ratio))
+
+
+class TestExactStoppingRule:
+    @pytest.mark.parametrize("kind", ["integer", "equal-breakpoints", "c-zero", "mixed-sign"])
+    def test_matches_chain_minimum(self, kind):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            n = int(rng.integers(1, 13))
+            obj, box = _objective_on_box(rng, kind, n)
+            res = dinkelbach_minimize(obj, box)
+            assert res.value == chain_minimize(obj, box)[1]
+            assert res.iterations <= n + 2
+
+    def test_spread_coefficients_within_rounding_bound(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            obj, box = _objective_on_box(rng, "spread", n)
+            res = dinkelbach_minimize(obj, box)
+            chain_y, chain_value = chain_minimize(obj, box)
+            bound = _ratio_rounding_bound(obj, res.y) + _ratio_rounding_bound(obj, chain_y)
+            assert abs(res.value - chain_value) <= bound
+            assert res.iterations <= n + 2
+
+    def test_spread_instance_best_response_returns(self):
+        inst = parse_instance_file(SPREAD_N7)
+        x = inst.box.center
+        res = dinkelbach_minimize(response_objective(inst, x), inst.box)
+        assert res.iterations <= inst.dim + 2
+        y, residual = best_response_residual(inst, x)
+        np.testing.assert_array_equal(y, res.y)
+        assert residual >= 0.0
+
+    def test_spread_instance_solve_ends_with_a_status_line(self, capsys):
+        code = main(["solve", "--instance", str(SPREAD_N7)])
+        out, err = capsys.readouterr()
+        assert out.startswith("status: ")
+        assert "solve failed" not in err
+        final_residual = float(out.split("final_residual: ")[1].split()[0])
+        assert code == (0 if final_residual < 1e-1 else 1)
 
 
 class TestGridBruteforce:

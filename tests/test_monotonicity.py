@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import quasieq.monotonicity as monotonicity
+from quasieq.errors import DimensionError
 from quasieq.generator import GeneratorConfig, generate_instances
 from quasieq.monotonicity import (
     check_paramonotone,
@@ -150,6 +151,12 @@ class TestReportConstruction:
         assert report.rank_sym == rank_sym
         assert report.rank_a_hat == rank_a_hat
         assert report.verdict is verdict
+
+    @pytest.mark.parametrize("matrix", [np.ones((2, 3)), np.ones(3)],
+                             ids=["2x3", "1-D"])
+    def test_rejects_a_hat_that_is_not_square(self, matrix):
+        with pytest.raises(DimensionError, match="a_hat"):
+            paramonotonicity_report(matrix)
 
     def test_two_decompositions_per_report(self, monkeypatch):
         # rank S comes from |eig(S)|, so S itself is decomposed only once

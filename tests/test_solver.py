@@ -72,6 +72,12 @@ class TestSolverConfig:
             {"tol_residual": float("nan")},
             {"tol_success": float("inf")},
             {"tol_success": float("nan")},
+            {"max_iter": 2.5},
+            {"max_iter": float("inf")},
+            {"max_iter": True},
+            {"max_iter": None},
+            {"trace_keep": 1.5},
+            {"trace_keep": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
