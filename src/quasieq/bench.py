@@ -53,24 +53,22 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Solve ``count`` seeded instances per size and aggregate results.
 
-    ``config`` (default ``SolverConfig()``) supplies the variant, the step
-    scale and the tolerances; tracing is disabled.  A solve that
-    raises counts as a non-success in ``failures`` and never aborts the
-    sweep; the means are over the solves that returned.
+    Distinct sizes run in ascending order, the i-th with seed ``seed + i``;
+    ``GeneratorConfig`` checks every size, ``count`` and ``seed`` before
+    any solve.  ``config`` (default ``SolverConfig()``) supplies the
+    variant, the step scale and the tolerances; tracing is disabled.  A
+    solve that raises counts as a non-success in ``failures`` and never
+    aborts the sweep; the means are over the solves that returned.
     """
-    sizes = sorted(set(int(n) for n in sizes))
-    if not sizes:
+    configs = {n: GeneratorConfig(n=n, count=count, seed=seed) for n in sizes}
+    if not configs:
         raise ValueError("sizes must be nonempty")
-    if count < 1:
-        raise ValueError("count must be at least 1")
     base = config if config is not None else SolverConfig()
     solver_config = replace(base, trace_keep=0)
 
     rows = []
-    for size_index, n in enumerate(sizes):
-        instances = generate_instances(GeneratorConfig(
-            n=n, count=count, seed=seed + size_index,
-        ))
+    for size_index, n in enumerate(sorted(configs)):
+        instances = generate_instances(replace(configs[n], seed=seed + size_index))
         successes = 0
         errors: list[float] = []
         times: list[float] = []

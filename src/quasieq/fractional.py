@@ -20,7 +20,7 @@ from .linalg import as_vector
 from .sets import BoxSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FractionalObjective:
     """y |-> (p'y + q) / (c'y + d); the denominator must stay positive
     over the box it is minimized on."""
@@ -66,7 +66,7 @@ class FractionalObjective:
         return self.ratio(y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DinkelbachResult:
     y: np.ndarray
     value: float

@@ -11,11 +11,12 @@ are rejected and the next candidate takes the next block; with
 require_paramonotone set, draws failing the paramonotonicity
 certificate are rejected the same way.  More than MAX_REJECTIONS
 rejections in one call raise GenerationError.  n, count and seed must
-be integers (not bools).
+be integers (not bools), and the box bounds finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,19 +41,15 @@ class GeneratorConfig:
     require_paramonotone: bool = False
 
     def __post_init__(self):
-        # Plain ints pass the cheap type test; the slower ABC check admits
-        # numpy integers and rejects bools and everything else.
-        if not type(self.n) is type(self.count) is type(self.seed) is int:
-            for name in ("n", "count", "seed"):
-                value = getattr(self, name)
-                if not is_integer(value):
-                    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        if not (is_integer(self.n) and is_integer(self.count) and is_integer(self.seed)):
+            raise ConfigurationError("n, count and seed must be integers, got "
+                                     f"{self.n!r}, {self.count!r}, {self.seed!r}")
         if self.n < 1:
             raise ConfigurationError("n must be at least 1")
         if self.count < 1:
             raise ConfigurationError("count must be at least 1")
-        if not self.box_low < self.box_high:
-            raise ConfigurationError("box_low must be below box_high")
+        if not -math.inf < self.box_low < self.box_high < math.inf:
+            raise ConfigurationError("box_low must be below box_high, both finite")
 
 
 def _draw_instance(stream: UniformStream, n: int, box: BoxSet):

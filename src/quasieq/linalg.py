@@ -23,8 +23,9 @@ _JACOBI_TOL = 1e-12
 
 
 def is_integer(value) -> bool:
-    """An integer that is not a bool, numpy integers included."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """The package's integer test: an int or numpy integer, not a bool."""
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
@@ -111,18 +112,12 @@ def singular_values(m) -> np.ndarray:
 
 
 def numeric_rank(values, tol: float) -> int:
-    """Count values strictly above tol * max(1, values[0]).
-
-    ``values`` must be nonnegative and sorted descending.
-    """
+    """Count values strictly above tol * max(1, largest value); the
+    values must be nonnegative and may come in any order."""
     v = as_vector(values, "values")
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    if v.size == 0:
-        return 0
     if np.any(v < 0.0):
         raise ValueError("values must be nonnegative")
-    if np.any(np.diff(v) > 0.0):
-        raise ValueError("values must be sorted descending")
-    cutoff = tol * max(1.0, float(v[0]))
+    cutoff = tol * max(1.0, float(np.max(v, initial=0.0)))
     return int(np.count_nonzero(v > cutoff))

@@ -28,7 +28,7 @@ from .linalg import (
 DEFAULT_TOL = 1e-8
 
 
-@dataclass
+@dataclass(eq=False)
 class ParamonotonicityReport:
     a_hat: np.ndarray
     a_hat_sym: np.ndarray
@@ -56,7 +56,7 @@ def paramonotonicity_report(a_hat: np.ndarray,
     slack = tol * max(1.0, frobenius_norm(a_hat))
     eig = symmetric_eigenvalues(sym)
     min_eig = float(eig[0])
-    rank_sym = numeric_rank(np.sort(np.abs(eig))[::-1], tol)
+    rank_sym = numeric_rank(np.abs(eig), tol)
     rank_a_hat = numeric_rank(singular_values(a_hat), tol)
     verdict = (min_eig >= -slack) and (rank_sym == rank_a_hat)
     return ParamonotonicityReport(

@@ -41,7 +41,7 @@ class EquilibriumOracle(Protocol):
     def residual(self, x) -> float: ...
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineFractionalInstance:
     """Data (A, b, A1, b1, c, d, box) of an affine-fractional bifunction.
 
@@ -112,7 +112,7 @@ def fractional_diagonal_subgradient(inst: AffineFractionalInstance, x) -> np.nda
     return obj.p - obj.ratio(x) * obj.c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineFractionalOracle:
     """Solver-facing oracle over an AffineFractionalInstance; the best
     response behind the residual is solved exactly by Dinkelbach

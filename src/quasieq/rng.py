@@ -21,9 +21,10 @@ one block.
 from __future__ import annotations
 
 import functools
-import numbers
 
 import numpy as np
+
+from .linalg import is_integer
 
 _MASK64 = (1 << 64) - 1
 _LANE = 128  # outputs per lane: the jump table advances a state this many steps
@@ -134,10 +135,8 @@ class UniformStream:
 
         A count that is not an integer (a bool is not) raises TypeError;
         a negative count raises ValueError."""
-        if type(count) is not int:  # the ABC check is slow; most counts are ints
-            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-                raise TypeError(f"count must be an integer, got {count!r}")
-            count = int(count)
+        if not is_integer(count):
+            raise TypeError(f"count must be an integer, got {count!r}")
         if count < 0:
             raise ValueError(f"count must be nonnegative, got {count}")
         if count > self._made.size:

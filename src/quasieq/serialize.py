@@ -12,6 +12,7 @@ import json
 import numpy as np
 
 from .errors import DomainError, InstanceFormatError
+from .linalg import is_integer
 from .oracles import AffineFractionalInstance
 from .sets import BoxSet
 
@@ -43,11 +44,13 @@ def instance_to_dict(inst: AffineFractionalInstance) -> dict:
 
 
 def instance_from_dict(data: dict) -> AffineFractionalInstance:
+    """An instance from an instance file's fields; a missing, mistyped,
+    unconvertible or misshapen field raises InstanceFormatError naming it."""
     for name in _INSTANCE_FIELDS:
         if name not in data:
             raise InstanceFormatError(f"missing field {name!r}", field=name)
     n = data["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not is_integer(n):
         raise InstanceFormatError("field 'n' must be an integer", field="n")
     if n < 1:
         raise InstanceFormatError("field 'n' must be at least 1", field="n")
@@ -59,20 +62,16 @@ def instance_from_dict(data: dict) -> AffineFractionalInstance:
                                       field=name)
         return float(value)
 
-    def vector(name):
-        arr = np.asarray(data[name], dtype=float)
-        if arr.shape != (n,):
+    def array(name, shape):
+        try:
+            arr = np.asarray(data[name], dtype=float)
+        except (TypeError, ValueError) as exc:  # an object, ragged or text
             raise InstanceFormatError(
-                f"field {name!r} must be a length-{n} array, got shape {arr.shape}",
-                field=name,
-            )
-        return arr
-
-    def matrix(name):
-        arr = np.asarray(data[name], dtype=float)
-        if arr.shape != (n, n):
+                f"field {name!r} is not a numeric array: {exc}", field=name
+            ) from exc
+        if arr.shape != shape:
             raise InstanceFormatError(
-                f"field {name!r} must be {n}x{n}, got shape {arr.shape}",
+                f"field {name!r} must have shape {shape}, got {arr.shape}",
                 field=name,
             )
         return arr
@@ -82,8 +81,8 @@ def instance_from_dict(data: dict) -> AffineFractionalInstance:
         raise InstanceFormatError("box_low must be below box_high",
                                   field="box_low")
     parts = dict(
-        A=matrix("A"), b=vector("b"), A1=matrix("A1"), b1=vector("b1"),
-        c=vector("c"), d=number("d"),
+        A=array("A", (n, n)), b=array("b", (n,)), A1=array("A1", (n, n)),
+        b1=array("b1", (n,)), c=array("c", (n,)), d=number("d"),
     )
     try:
         return AffineFractionalInstance(

@@ -11,7 +11,7 @@ from .errors import DimensionError
 from .linalg import as_vector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxSet:
     """Axis-aligned box {x : lo <= x <= hi}."""
 

@@ -67,7 +67,7 @@ class SolverConfig:
                 f"trace_keep must be None or an integer >= 0, got {self.trace_keep!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class IterationRecord:
     k: int
     x: np.ndarray
@@ -86,7 +86,7 @@ class SolveStatus(Enum):
     MAX_ITER_REACHED = "max-iter-reached"
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveReport:
     status: SolveStatus
     x_final: np.ndarray

@@ -8,6 +8,7 @@ from quasieq.bench import (
     format_benchmark_table,
     run_benchmark,
 )
+from quasieq.errors import ConfigurationError
 from quasieq.fractional import best_response_residual
 from quasieq.generator import GeneratorConfig, generate_instances
 from quasieq.solver import SolveReport, SolveStatus, SolverConfig
@@ -34,6 +35,23 @@ class TestBookkeeping:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             run_benchmark(sizes=(2,), count=0, seed=1)
+
+    @pytest.mark.parametrize("sizes, seed", [
+        ((2.7,), 1), ((True,), 1), (("3",), 1), ((2, 2.0), 1),
+        ((2,), True), ((2,), 1.5),
+    ], ids=["float", "bool", "str", "float-duplicate", "bool-seed", "float-seed"])
+    def test_rejects_non_integer_size_or_seed(self, sizes, seed):
+        # a float, a bool or a string is never rounded into a size or seed
+        with pytest.raises(ConfigurationError):
+            run_benchmark(sizes=sizes, count=1, seed=seed)
+
+    def test_accepts_numpy_integers(self):
+        report = run_benchmark(sizes=(np.int64(3), np.int32(2), 3), count=1,
+                               seed=np.int64(77))
+        assert [row.n for row in report.rows] == [2, 3]
+        again = run_benchmark(sizes=(2, 3), count=1, seed=77)
+        assert [row.mean_error for row in report.rows] == [
+            row.mean_error for row in again.rows]
 
     def test_variant_recorded(self, monkeypatch):
         # the config is the only source of the variant: nothing overrides it

@@ -124,6 +124,20 @@ class TestSolve:
         assert "positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "check"])
+@pytest.mark.parametrize("name, value", [
+    ("b", {"a": 1}), ("A", [[1.0], [2.0, 3.0]]), ("c", ["one"]),
+], ids=["object", "ragged", "text"])
+def test_unconvertible_array_field_is_an_input_error(e1_file, tmp_path, capsys,
+                                                     command, name, value):
+    data = json.loads(Path(e1_file).read_text())
+    data[name] = value
+    path = tmp_path / "bad_field.json"
+    path.write_text(json.dumps(data))
+    assert main([command, "--instance", str(path)]) == EXIT_INPUT_ERROR
+    assert f"error: field '{name}'" in capsys.readouterr().err
+
+
 class TestBench:
     def test_bench_prints_table(self, capsys):
         code = main(["bench", "--sizes", "2", "--count", "2", "--seed", "7"])

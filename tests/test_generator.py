@@ -76,6 +76,10 @@ class TestUniformStream:
         # the stream is untouched
         np.testing.assert_array_equal(stream.uniforms(3), UniformStream(0).uniforms(3))
 
+    def test_accepts_numpy_integer_count(self):
+        np.testing.assert_array_equal(UniformStream(0).uniforms(np.int64(3)),
+                                      UniformStream(0).uniforms(3))
+
     def test_outputs_lie_in_unit_interval(self):
         u = UniformStream(42).uniforms(1_000_000)
         assert u.dtype == np.float64
@@ -136,6 +140,10 @@ class TestGeneratorConfig:
             {"n": 1, "count": 1, "seed": 1.7},
             {"n": 2.5, "count": 1, "seed": 1},
             {"n": True, "count": 1, "seed": 1},
+            {"n": 1, "count": 1, "seed": 1, "box_low": -np.inf},
+            {"n": 1, "count": 1, "seed": 1, "box_high": np.inf},
+            {"n": 1, "count": 1, "seed": 1, "box_low": -np.inf, "box_high": np.inf},
+            {"n": 1, "count": 1, "seed": 1, "box_low": np.nan},
         ],
     )
     def test_rejects_bad_config(self, kwargs):

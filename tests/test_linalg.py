@@ -200,10 +200,6 @@ class TestNumericRank:
         assert numeric_rank(vals, tol=1e-5) == 1
         assert numeric_rank(vals, tol=1e-7) == 2
 
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            numeric_rank(np.array([1.0, 2.0]), tol=1e-12)
-
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             numeric_rank(np.array([1.0, -0.1]), tol=1e-12)
@@ -222,3 +218,15 @@ class TestNumericRank:
     def test_rank_nonincreasing_in_tol(self, values, tol, factor):
         vals = np.sort(np.asarray(values))[::-1]
         assert numeric_rank(vals, tol=tol * factor) <= numeric_rank(vals, tol=tol)
+
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=0, max_size=8),
+        st.floats(min_value=1e-12, max_value=1e-2),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=50)
+    def test_rank_ignores_order(self, values, tol, random):
+        permuted = list(values)
+        random.shuffle(permuted)
+        descending = np.sort(np.asarray(values, dtype=float))[::-1]
+        assert numeric_rank(permuted, tol) == numeric_rank(descending, tol)

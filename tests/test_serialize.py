@@ -59,6 +59,17 @@ class TestInstanceJSON:
             instance_from_dict(data)
         assert err.value.field == "A"
 
+    @pytest.mark.parametrize("name, value", [
+        ("b", {"a": 1}), ("A", [[1.0], [2.0, 3.0]]), ("A1", "identity"),
+        ("c", ["one"]),
+    ], ids=["object", "ragged", "text", "text-entry"])
+    def test_unconvertible_array_is_named(self, e1, name, value):
+        data = instance_to_dict(e1)
+        data[name] = value
+        with pytest.raises(InstanceFormatError) as err:
+            instance_from_dict(data)
+        assert err.value.field == name
+
     def test_bad_n(self, e1):
         # only a JSON integer is a dimension: 1.7, "1" and true are not
         for bad in (0, 1.7, "1", True):
