@@ -12,6 +12,7 @@ from .errors import (
     DimensionError,
     DomainError,
     GenerationError,
+    InputError,
     InstanceFormatError,
 )
 from .fractional import (
@@ -72,6 +73,7 @@ __all__ = [
     "FractionalObjective",
     "GenerationError",
     "GeneratorConfig",
+    "InputError",
     "InstanceFormatError",
     "IterationRecord",
     "ParamonotonicityReport",

@@ -1,7 +1,16 @@
 """Exception types shared across the package."""
 
 
-class DimensionError(ValueError):
+class InputError(ValueError):
+    """An input value is malformed; ``field`` names the argument or file
+    field it came in through, when known."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
+
+
+class DimensionError(InputError):
     """Operands have inconsistent or invalid dimensions."""
 
 
@@ -18,12 +27,8 @@ class ConvergenceError(RuntimeError):
     """An iterative routine hit its iteration cap."""
 
 
-class InstanceFormatError(ValueError):
+class InstanceFormatError(InputError):
     """An instance file is malformed; ``field`` names the offending entry."""
-
-    def __init__(self, message, field=None):
-        super().__init__(message)
-        self.field = field
 
 
 class GenerationError(RuntimeError):

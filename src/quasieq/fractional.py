@@ -10,13 +10,12 @@ stops falling, which takes at most n + 2 rounds and needs no tolerance.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .linalg import as_vector
+from .linalg import as_real, as_vector
 from .sets import BoxSet
 
 
@@ -35,13 +34,10 @@ class FractionalObjective:
         c = as_vector(self.c, "c")
         if p.shape != c.shape:
             raise DimensionError("p and c must have the same dimension")
-        q, d = float(self.q), float(self.d)
-        if not (math.isfinite(q) and math.isfinite(d)):
-            raise ValueError(f"q and d must be finite, got q={q!r}, d={d!r}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "q", as_real(self.q, "q"))
+        object.__setattr__(self, "d", as_real(self.d, "d"))
 
     @classmethod
     def _unchecked(cls, p: np.ndarray, q: float, c: np.ndarray, d: float):

@@ -11,7 +11,7 @@ are rejected and the next candidate takes the next block; with
 require_paramonotone set, draws failing the paramonotonicity
 certificate are rejected the same way.  More than MAX_REJECTIONS
 rejections in one call raise GenerationError.  n, count and seed must
-be integers (not bools), and the box bounds finite.
+be integers (not bools), and the box bounds finite real numbers.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, GenerationError
-from .linalg import is_integer
+from .linalg import is_integer, is_real
 from .monotonicity import check_paramonotone
 from .oracles import AffineFractionalInstance
 from .rng import UniformStream
@@ -48,7 +48,8 @@ class GeneratorConfig:
             raise ConfigurationError("n must be at least 1")
         if self.count < 1:
             raise ConfigurationError("count must be at least 1")
-        if not -math.inf < self.box_low < self.box_high < math.inf:
+        if not (is_real(self.box_low) and is_real(self.box_high)
+                and -math.inf < self.box_low < self.box_high < math.inf):
             raise ConfigurationError("box_low must be below box_high, both finite")
 
 

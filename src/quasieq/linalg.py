@@ -1,6 +1,8 @@
-"""Minimal dense linear algebra: validation helpers, numeric rank, and
-singular values and symmetric eigenvalues from one one-sided (Hestenes)
-Jacobi kernel, which never forms M^T M (Demmel & Veselic 1992).
+"""Minimal dense linear algebra: the package's number rules, numeric
+rank, and singular values and symmetric eigenvalues from one one-sided
+(Hestenes) Jacobi kernel, which never forms M^T M (Demmel & Veselic
+1992).  Every number taken in passes `is_real`, every count `is_integer`;
+the `as_*` coercions raise InputError naming the argument as its field.
 
 Vectors and matrices are plain float64 numpy arrays.  Inputs are scaled
 by a power of two, which is exact, so the sweeps neither overflow nor
@@ -15,7 +17,7 @@ import numbers
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError
+from .errors import ConvergenceError, DimensionError, InputError
 
 _MAX_SWEEPS = 60
 # relative off-diagonal threshold of the Jacobi sweeps and symmetry check
@@ -28,24 +30,45 @@ def is_integer(value) -> bool:
         isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
+def is_real(value) -> bool:
+    """The package's number test: an int, float or numpy real, not a bool
+    or text."""
+    return type(value) in (float, int) or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
+def as_real(value, name: str) -> float:
+    """A finite float from a scalar that passes is_real."""
+    if not (is_real(value) and math.isfinite(value)):
+        raise InputError(f"{name} must be finite and real, got {value!r}", field=name)
+    return float(value)
+
+
+def _as_real_array(x, name: str, ndim: int) -> np.ndarray:
+    """A finite float64 array of ndim dimensions whose entries pass is_real;
+    an ndarray is judged by its dtype kind, anything else entry by entry."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "iuf":
+        a = np.asarray(x, dtype=float)
+    else:
+        a = np.array(x, dtype=object)
+        if not all(map(is_real, a.flat)):
+            raise InputError(f"{name} entries must be real numbers", field=name)
+        a = a.astype(float)
+    if a.ndim != ndim:
+        raise DimensionError(f"{name} must be {ndim}-D, got shape {a.shape}", field=name)
+    if not np.isfinite(a).all():
+        raise InputError(f"{name} contains non-finite entries", field=name)
+    return a
+
+
 def as_vector(x, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float64 array."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise DimensionError(f"{name} must be 1-D, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return v
+    return _as_real_array(x, name, 1)
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D float64 array."""
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
+    return _as_real_array(m, name, 2)
 
 
 def _power_of_two_near_max(a: np.ndarray) -> float:
@@ -115,7 +138,7 @@ def numeric_rank(values, tol: float) -> int:
     """Count values strictly above tol * max(1, largest value); the
     values must be nonnegative and may come in any order."""
     v = as_vector(values, "values")
-    if not 0.0 < tol < math.inf:
+    if not (is_real(tol) and 0.0 < tol < math.inf):
         raise ValueError("tol must be positive and finite")
     if np.any(v < 0.0):
         raise ValueError("values must be nonnegative")

@@ -20,6 +20,7 @@ from .errors import DimensionError
 from .linalg import (
     as_matrix,
     frobenius_norm,
+    is_real,
     numeric_rank,
     singular_values,
     symmetric_eigenvalues,
@@ -47,11 +48,11 @@ def compute_a_hat(inst) -> np.ndarray:
 def paramonotonicity_report(a_hat: np.ndarray,
                             tol: float = DEFAULT_TOL) -> ParamonotonicityReport:
     """Certificate for a precomputed A_hat matrix."""
-    if not 0.0 < tol < np.inf:
+    if not (is_real(tol) and 0.0 < tol < np.inf):
         raise ValueError("tol must be positive and finite")
     a_hat = as_matrix(a_hat, "a_hat")
-    if a_hat.shape[0] != a_hat.shape[1]:
-        raise DimensionError(f"a_hat must be square, got shape {a_hat.shape}")
+    if a_hat.shape[0] != a_hat.shape[1] or a_hat.size == 0:
+        raise DimensionError(f"a_hat must be square and nonempty, got shape {a_hat.shape}")
     sym = 0.5 * (a_hat + a_hat.T)
     slack = tol * max(1.0, frobenius_norm(a_hat))
     eig = symmetric_eigenvalues(sym)

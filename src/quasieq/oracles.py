@@ -13,7 +13,6 @@ recovers the classical projection method.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .fractional import _check_denominator, _response_objective, best_response_residual
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_real, as_vector
 from .sets import BoxSet
 
 
@@ -46,7 +45,8 @@ class AffineFractionalInstance:
     """Data (A, b, A1, b1, c, d, box) of an affine-fractional bifunction.
 
     Construction fails unless c'y + d is strictly positive over the box,
-    checked in closed form at the sign-selected vertex.
+    checked in closed form at the sign-selected vertex; any other error
+    names the argument at fault as its ``field``.
     """
 
     A: np.ndarray
@@ -58,28 +58,17 @@ class AffineFractionalInstance:
     box: BoxSet
 
     def __post_init__(self):
-        A = as_matrix(self.A, "A")
-        A1 = as_matrix(self.A1, "A1")
-        b = as_vector(self.b, "b")
-        b1 = as_vector(self.b1, "b1")
-        c = as_vector(self.c, "c")
         n = self.box.dim
-        for name, mat in (("A", A), ("A1", A1)):
-            if mat.shape != (n, n):
-                raise DimensionError(f"{name} must be {n}x{n}, got {mat.shape}")
-        for name, vec in (("b", b), ("b1", b1), ("c", c)):
-            if vec.size != n:
-                raise DimensionError(f"{name} must have dimension {n}")
-        d = float(self.d)
-        if not math.isfinite(d):
-            raise ValueError(f"d must be finite, got {d!r}")
-        _check_denominator(c, d, self.box)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "A1", A1)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        for name, coerce, shape in (("A", as_matrix, (n, n)), ("A1", as_matrix, (n, n)),
+                                    ("b", as_vector, (n,)), ("b1", as_vector, (n,)),
+                                    ("c", as_vector, (n,))):
+            value = coerce(getattr(self, name), name)
+            if value.shape != shape:
+                raise DimensionError(f"{name} must have shape {shape}, got {value.shape}",
+                                     field=name)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "d", as_real(self.d, "d"))
+        _check_denominator(self.c, self.d, self.box)
 
     @property
     def dim(self) -> int:

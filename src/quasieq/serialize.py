@@ -11,8 +11,8 @@ import json
 
 import numpy as np
 
-from .errors import DomainError, InstanceFormatError
-from .linalg import is_integer
+from .errors import DomainError, InputError, InstanceFormatError
+from .linalg import as_real, is_integer
 from .oracles import AffineFractionalInstance
 from .sets import BoxSet
 
@@ -44,8 +44,10 @@ def instance_to_dict(inst: AffineFractionalInstance) -> dict:
 
 
 def instance_from_dict(data: dict) -> AffineFractionalInstance:
-    """An instance from an instance file's fields; a missing, mistyped,
-    unconvertible or misshapen field raises InstanceFormatError naming it."""
+    """An instance from an instance file's fields.  Only the format's own
+    rules are checked here (every field, an integer n >= 1, finite box
+    bounds with box_low < box_high); the constructor checks the rest, and
+    every error is raised as InstanceFormatError naming its field."""
     for name in _INSTANCE_FIELDS:
         if name not in data:
             raise InstanceFormatError(f"missing field {name!r}", field=name)
@@ -54,46 +56,20 @@ def instance_from_dict(data: dict) -> AffineFractionalInstance:
         raise InstanceFormatError("field 'n' must be an integer", field="n")
     if n < 1:
         raise InstanceFormatError("field 'n' must be at least 1", field="n")
-
-    def number(name):
-        value = data[name]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise InstanceFormatError(f"field {name!r} must be a number",
-                                      field=name)
-        return float(value)
-
-    def array(name, shape):
-        try:
-            arr = np.asarray(data[name], dtype=float)
-        except (TypeError, ValueError) as exc:  # an object, ragged or text
-            raise InstanceFormatError(
-                f"field {name!r} is not a numeric array: {exc}", field=name
-            ) from exc
-        if arr.shape != shape:
-            raise InstanceFormatError(
-                f"field {name!r} must have shape {shape}, got {arr.shape}",
-                field=name,
-            )
-        return arr
-
-    box_low, box_high = number("box_low"), number("box_high")
-    if not box_low < box_high:
-        raise InstanceFormatError("box_low must be below box_high",
-                                  field="box_low")
-    parts = dict(
-        A=array("A", (n, n)), b=array("b", (n,)), A1=array("A1", (n, n)),
-        b1=array("b1", (n,)), c=array("c", (n,)), d=number("d"),
-    )
     try:
+        box_low, box_high = (as_real(data[k], k) for k in ("box_low", "box_high"))
+        if not box_low < box_high:
+            raise InputError("box_low must be below box_high", field="box_low")
         return AffineFractionalInstance(
-            box=BoxSet.uniform(n, box_low, box_high), **parts
+            A=data["A"], b=data["b"], A1=data["A1"], b1=data["b1"], c=data["c"],
+            d=data["d"], box=BoxSet.uniform(n, box_low, box_high),
         )
     except DomainError as exc:
         raise InstanceFormatError(
             f"denominator is not positive over the box: {exc}", field="c"
         ) from exc
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc)) from exc
+    except InputError as exc:
+        raise InstanceFormatError(f"field {exc.field!r}: {exc}", field=exc.field) from exc
 
 
 def parse_instance_file(path) -> AffineFractionalInstance:
@@ -108,8 +84,9 @@ def parse_instance_file(path) -> AffineFractionalInstance:
 
 
 def write_instance_file(inst: AffineFractionalInstance, path) -> None:
+    data = instance_to_dict(inst)  # before the file exists, which it may reject
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=2)
+        json.dump(data, fh, indent=2)
         fh.write("\n")
 
 

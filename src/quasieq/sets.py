@@ -30,7 +30,7 @@ class BoxSet:
 
     @classmethod
     def uniform(cls, n: int, lo: float, hi: float) -> "BoxSet":
-        return cls(np.full(n, float(lo)), np.full(n, float(hi)))
+        return cls(np.full(n, lo), np.full(n, hi))
 
     @property
     def dim(self) -> int:

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .linalg import as_vector, is_integer
+from .linalg import as_vector, is_integer, is_real
 from .sets import BoxSet
 
 VARIANTS = ("ng1", "ng2")
@@ -59,7 +59,8 @@ class SolverConfig:
         if not (is_integer(self.max_iter) and self.max_iter >= 1):
             raise ConfigurationError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         for name in ("scale", "tol_step", "tol_residual", "tol_success"):
-            if not 0.0 < getattr(self, name) < math.inf:
+            value = getattr(self, name)
+            if not (is_real(value) and 0.0 < value < math.inf):
                 raise ConfigurationError(f"{name} must be positive and finite")
         if not (self.trace_keep is None
                 or is_integer(self.trace_keep) and self.trace_keep >= 0):
@@ -127,10 +128,7 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
 
     x = box.project(box.center if x0 is None else x0)
 
-    if config.trace_keep is None:
-        trace: "list[IterationRecord] | deque[IterationRecord]" = []
-    else:
-        trace = deque(maxlen=config.trace_keep)
+    trace = deque(maxlen=config.trace_keep)
     best_residual = math.inf
     final_residual: Optional[float] = None
 
@@ -163,12 +161,12 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
                 alpha=alpha, step_norm=step_norm, residual=residual,
             ))
 
-        if np.array_equal(x_next, x):
+        if not step.any():
             status = SolveStatus.FIXED_POINT
             final_residual = residual
             break
         x = x_next
-        if config.variant == "ng1" and step_norm < config.tol_step:
+        if not ng2 and step_norm < config.tol_step:
             status = SolveStatus.STEP_BELOW_TOL
             break
     else:

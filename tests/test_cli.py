@@ -138,6 +138,22 @@ def test_unconvertible_array_field_is_an_input_error(e1_file, tmp_path, capsys,
     assert f"error: field '{name}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "check"])
+@pytest.mark.parametrize("name, value", [
+    ("b", ["0.5", True]), ("A", [[True, 0.0], [0.0, 1.0]]), ("b", [float("nan"), 1.0]),
+    ("d", float("nan")), ("box_low", -float("inf")),
+], ids=["text-and-bool", "bool-entry", "nan-entry", "nan-d", "infinite-box-low"])
+def test_field_that_is_not_a_finite_number_is_an_input_error(tmp_path, capsys, command,
+                                                             name, value):
+    path = tmp_path / "e2.json"
+    write_instance_file(generate_instances(GeneratorConfig(n=2, count=1, seed=7))[0], path)
+    data = json.loads(path.read_text())
+    data[name] = value
+    path.write_text(json.dumps(data))  # NaN and Infinity, which json reads back
+    assert main([command, "--instance", str(path)]) == EXIT_INPUT_ERROR
+    assert f"error: field '{name}'" in capsys.readouterr().err
+
+
 class TestBench:
     def test_bench_prints_table(self, capsys):
         code = main(["bench", "--sizes", "2", "--count", "2", "--seed", "7"])

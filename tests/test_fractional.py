@@ -87,6 +87,7 @@ class TestFractionalObjective:
 
     @pytest.mark.parametrize("q, d", [
         (np.inf, 1.0), (np.nan, 1.0), (0.0, np.inf), (0.0, -np.inf), (0.0, np.nan),
+        (0.0, "2"), (True, 1.0),
     ])
     def test_rejects_non_finite_constants(self, q, d):
         with pytest.raises(ValueError, match="must be finite"):

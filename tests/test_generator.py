@@ -144,6 +144,8 @@ class TestGeneratorConfig:
             {"n": 1, "count": 1, "seed": 1, "box_high": np.inf},
             {"n": 1, "count": 1, "seed": 1, "box_low": -np.inf, "box_high": np.inf},
             {"n": 1, "count": 1, "seed": 1, "box_low": np.nan},
+            {"n": 1, "count": 1, "seed": 1, "box_low": False},
+            {"n": 1, "count": 1, "seed": 1, "box_high": "3"},
         ],
     )
     def test_rejects_bad_config(self, kwargs):

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasieq.errors import ConvergenceError, DimensionError
+from quasieq.errors import ConvergenceError, DimensionError, InputError
 from quasieq.linalg import (
     as_matrix,
     as_vector,
     frobenius_norm,
+    is_real,
     numeric_rank,
     singular_values,
     symmetric_eigenvalues,
@@ -48,6 +49,30 @@ class TestConversions:
     def test_matrix_rejects_inf(self):
         with pytest.raises(ValueError):
             as_matrix([[np.inf]])
+
+    @pytest.mark.parametrize("value, real", [
+        (1, True), (1.5, True), (np.int8(2), True), (np.uint64(3), True),
+        (np.float32(0.5), True), (True, False), (np.True_, False), ("1", False),
+        (None, False), (1j, False), ([1.0], False),
+    ])
+    def test_is_real(self, value, real):
+        assert is_real(value) is real
+
+    @pytest.mark.parametrize("coerce, value", [
+        (as_vector, [True, 1.0]), (as_vector, ["0.5"]), (as_vector, np.array([True])),
+        (as_vector, np.array(["1"])), (as_vector, [1j]), (as_matrix, [[1.0, None]]),
+        (as_matrix, np.array([[False]])),
+    ], ids=["bool", "text", "bool-array", "text-array", "complex", "none", "bool-matrix"])
+    def test_rejects_entries_that_are_not_real(self, coerce, value):
+        with pytest.raises(InputError, match="entries must be real numbers") as err:
+            coerce(value, "v")
+        assert err.value.field == "v"
+
+    def test_accepts_integer_and_numpy_entries(self):
+        np.testing.assert_array_equal(as_vector([np.int64(1), 2, np.float32(0.5)]),
+                                      [1.0, 2.0, 0.5])
+        np.testing.assert_array_equal(as_matrix(np.arange(4, dtype=np.uint8).reshape(2, 2)),
+                                      [[0.0, 1.0], [2.0, 3.0]])
 
     def test_frobenius(self):
         assert frobenius_norm(np.array([[3.0, 0.0], [0.0, 4.0]])) == 5.0
@@ -205,7 +230,7 @@ class TestNumericRank:
             numeric_rank(np.array([1.0, -0.1]), tol=1e-12)
 
     def test_rejects_bad_tol(self):
-        for tol in (0.0, np.inf, np.nan):
+        for tol in (0.0, np.inf, np.nan, True, "1e-8"):
             with pytest.raises(ValueError):
                 numeric_rank(np.array([1.0]), tol=tol)
 

@@ -98,7 +98,7 @@ class TestCheckParamonotone:
 
     def test_rejects_bad_tol(self, identity_case):
         # tol = inf would certify anything, tol = nan would make both ranks 0
-        for tol in (0.0, np.inf, np.nan):
+        for tol in (0.0, np.inf, np.nan, True, "1e-8"):
             with pytest.raises(ValueError):
                 check_paramonotone(identity_case, tol=tol)
 
@@ -152,11 +152,17 @@ class TestReportConstruction:
         assert report.rank_a_hat == rank_a_hat
         assert report.verdict is verdict
 
-    @pytest.mark.parametrize("matrix", [np.ones((2, 3)), np.ones(3)],
-                             ids=["2x3", "1-D"])
+    @pytest.mark.parametrize("matrix", [np.ones((2, 3)), np.ones(3), np.zeros((0, 0))],
+                             ids=["2x3", "1-D", "0x0"])
     def test_rejects_a_hat_that_is_not_square(self, matrix):
         with pytest.raises(DimensionError, match="a_hat"):
             paramonotonicity_report(matrix)
+
+    def test_rejects_zero_dimensional_instance(self):
+        empty = AffineFractionalInstance(A=np.zeros((0, 0)), b=[], A1=np.zeros((0, 0)),
+                                         b1=[], c=[], d=1.0, box=BoxSet([], []))
+        with pytest.raises(DimensionError, match="a_hat"):
+            check_paramonotone(empty)
 
     def test_two_decompositions_per_report(self, monkeypatch):
         # rank S comes from |eig(S)|, so S itself is decomposed only once

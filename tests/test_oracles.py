@@ -63,7 +63,7 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             affine_vi_instance(M=[[np.nan]], r=[0.0], box=unit_box)
 
-    @pytest.mark.parametrize("d", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("d", [np.inf, -np.inf, np.nan, True, "2"])
     def test_rejects_non_finite_d(self, unit_box, d):
         # d = inf would pass the denominator check and break every ratio
         with pytest.raises(ValueError, match="d must be finite"):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -70,6 +71,17 @@ class TestInstanceJSON:
             instance_from_dict(data)
         assert err.value.field == name
 
+    @pytest.mark.parametrize("name, value", [
+        ("b", ["0.5", True]), ("A", [[True, 0.0], [0.0, 1.0]]), ("b", [math.nan, 1.0]),
+        ("d", math.nan), ("box_low", -math.inf),
+    ], ids=["text-and-bool", "bool-entry", "nan-entry", "nan-d", "infinite-box-low"])
+    def test_entry_that_is_not_a_finite_number_is_named(self, name, value):
+        data = instance_to_dict(generate_instances(GeneratorConfig(n=2, count=1, seed=7))[0])
+        data[name] = value
+        with pytest.raises(InstanceFormatError) as err:
+            instance_from_dict(data)
+        assert err.value.field == name
+
     def test_bad_n(self, e1):
         # only a JSON integer is a dimension: 1.7, "1" and true are not
         for bad in (0, 1.7, "1", True):
@@ -98,6 +110,16 @@ class TestInstanceJSON:
         path.write_text("[1, 2, 3]")
         with pytest.raises(InstanceFormatError):
             parse_instance_file(path)
+
+    def test_rejected_write_leaves_no_file(self, tmp_path):
+        inst = AffineFractionalInstance(
+            A=np.eye(2), b=np.zeros(2), A1=np.eye(2), b1=np.zeros(2),
+            c=np.zeros(2), d=1.0, box=BoxSet([1, 1], [3, 2]),
+        )
+        path = tmp_path / "uneven.json"
+        with pytest.raises(InstanceFormatError):
+            write_instance_file(inst, path)
+        assert not path.exists()
 
     def test_non_uniform_box_rejected_on_write(self):
         box = BoxSet([1.0, 0.0], [3.0, 3.0])

@@ -45,6 +45,14 @@ class TestBoxSet:
         with pytest.raises(ValueError):
             BoxSet([2.0], [1.0])
 
+    @pytest.mark.parametrize("make", [
+        lambda: BoxSet(["1"], ["3"]), lambda: BoxSet([True], [3.0]),
+        lambda: BoxSet.uniform(1, "1", "3"),
+    ], ids=["text", "bool", "uniform-text"])
+    def test_rejects_bounds_that_are_not_numbers(self, make):
+        with pytest.raises(ValueError, match="lo entries must be real numbers"):
+            make()
+
     def test_rejects_mismatched_bounds(self):
         with pytest.raises(DimensionError):
             BoxSet([0.0, 1.0], [2.0])

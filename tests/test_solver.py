@@ -78,6 +78,9 @@ class TestSolverConfig:
             {"max_iter": None},
             {"trace_keep": 1.5},
             {"trace_keep": True},
+            {"scale": True},
+            {"scale": "100"},
+            {"tol_residual": np.True_},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -175,6 +178,11 @@ class TestSolverGuards:
             normal_subgradient_solve(
                 AffineFractionalOracle(e1), BoxSet.uniform(1, 0.0, 3.0), SolverConfig()
             )
+
+    def test_rejects_text_start_point(self, e1):
+        with pytest.raises(ValueError, match="x entries must be real numbers"):
+            normal_subgradient_solve(AffineFractionalOracle(e1), e1.box, SolverConfig(),
+                                     x0=["2"])
 
     def test_rejects_set_that_is_not_a_box(self, e1):
         class ClipSet:
