@@ -6,14 +6,18 @@ the `as_*` coercions raise InputError naming the argument as its field.
 
 Vectors and matrices are plain float64 numpy arrays.  Inputs are scaled
 by a power of two, which is exact, so the sweeps neither overflow nor
-underflow.  The sweep order is fixed (row-major over the upper triangle)
-so results are bit-reproducible across runs.
+underflow.  The sweep order depends only on the column count, so
+results are bit-reproducible across runs: below _ROUND_ROBIN_COLUMNS
+columns a sweep rotates one pair at a time, row-major over the upper
+triangle; from there on it is round-robin (Brent & Luk 1985), each
+round rotating n/2 disjoint pairs in one numpy step.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 
 import numpy as np
 
@@ -22,6 +26,9 @@ from .errors import ConvergenceError, DimensionError, InputError
 _MAX_SWEEPS = 60
 # relative off-diagonal threshold of the Jacobi sweeps and symmetry check
 _JACOBI_TOL = 1e-12
+# column count from which a Jacobi sweep rotates round-robin sets of
+# disjoint pairs together instead of one pair at a time
+_ROUND_ROBIN_COLUMNS = 10
 
 
 def is_integer(value) -> bool:
@@ -38,10 +45,16 @@ def is_real(value) -> bool:
 
 
 def as_real(value, name: str) -> float:
-    """A finite float from a scalar that passes is_real."""
-    if not (is_real(value) and math.isfinite(value)):
-        raise InputError(f"{name} must be finite and real, got {value!r}", field=name)
-    return float(value)
+    """A finite float from a scalar that passes is_real; an integer too
+    large for a float is not finite."""
+    try:
+        real = float(value) if is_real(value) else math.nan
+    except OverflowError:
+        real = math.inf
+    if not math.isfinite(real):
+        raise InputError(f"{name} must be finite and real, got {reprlib.repr(value)}",
+                         field=name)
+    return real
 
 
 def _as_real_array(x, name: str, ndim: int) -> np.ndarray:
@@ -53,7 +66,10 @@ def _as_real_array(x, name: str, ndim: int) -> np.ndarray:
         a = np.array(x, dtype=object)
         if not all(map(is_real, a.flat)):
             raise InputError(f"{name} entries must be real numbers", field=name)
-        a = a.astype(float)
+        try:
+            a = a.astype(float)
+        except OverflowError:
+            raise InputError(f"{name} contains non-finite entries", field=name) from None
     if a.ndim != ndim:
         raise DimensionError(f"{name} must be {ndim}-D, got shape {a.shape}", field=name)
     if not np.isfinite(a).all():
@@ -83,29 +99,87 @@ def frobenius_norm(m: np.ndarray) -> float:
     return scale * float(np.sqrt(np.sum((a / scale) ** 2)))
 
 
+def _row_major_sweep(cols: np.ndarray) -> bool:
+    """One sweep over the pairs of rows, row-major over the upper
+    triangle, rotating each pair in place; True if any pair rotated."""
+    n = cols.shape[0]
+    rotated = False
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            x, y = cols[p], cols[q]
+            gamma = float(x @ y)
+            alpha, beta = float(x @ x), float(y @ y)
+            if abs(gamma) <= _JACOBI_TOL * math.sqrt(alpha) * math.sqrt(beta):
+                continue
+            rotated = True
+            zeta = (beta - alpha) / (2.0 * gamma)
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            cols[p], cols[q] = c * x - s * y, s * x + c * y
+    return rotated
+
+
+def _round_robin_order(size: int) -> np.ndarray:
+    """The row gather that moves every row of an even stack to its next
+    round-robin slot, where rows 2i and 2i + 1 are pair i.  Slot 0 stays
+    and the others step round one circle (Brent & Luk 1985), so after
+    size - 1 steps every two rows have been paired once and every row is
+    back in place."""
+    circle = np.concatenate([np.arange(2, size, 2), np.arange(size - 1, 0, -2)])
+    order = np.arange(size)
+    order[circle] = np.roll(circle, 1)
+    return order
+
+
+def _round_robin_sweep(cols: np.ndarray) -> bool:
+    """One sweep of size - 1 rounds over an even stack of rows, each
+    rotating the disjoint pairs (2i, 2i + 1) in one step, in place; a
+    pair under the threshold gets the identity rotation.  True if any
+    pair rotated."""
+    size, m = cols.shape
+    h = size // 2
+    order = _round_robin_order(size)
+    pairs = cols.reshape(h, 2, m)
+    x, y = pairs[:, 0], pairs[:, 1]
+    rotated = False
+    for _ in range(size - 1):
+        gamma = np.einsum("ij,ij->i", x, y)
+        alpha, beta = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", y, y)
+        rotate = np.abs(gamma) > _JACOBI_TOL * np.sqrt(alpha) * np.sqrt(beta)
+        if not rotate.any():
+            cols[:] = cols[order]
+            continue
+        rotated = True
+        # a zeta too large for a float is inf and gives t = 0, as with
+        # the Python floats of the row-major sweep
+        with np.errstate(over="ignore"):
+            zeta = (beta - alpha) / (2.0 * np.where(rotate, gamma, 1.0))
+        t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
+        t = np.where(rotate, t, 0.0)
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        s = t * c
+        rotation = np.stack([c, -s, s, c], axis=1).reshape(h, 2, 2)
+        cols[:] = (rotation @ pairs).reshape(size, m)[order]
+    return rotated
+
+
 def _jacobi_column_norms(a: np.ndarray) -> np.ndarray:
     """Singular values of a, unsorted: its column norms once rotations of
-    column pairs, in row-major order over the upper triangle, leave every
-    pair with |<a_p, a_q>| <= _JACOBI_TOL ||a_p|| ||a_q||."""
+    column pairs leave every pair with
+    |<a_p, a_q>| <= _JACOBI_TOL ||a_p|| ||a_q||.  Sweeps are row-major
+    below _ROUND_ROBIN_COLUMNS columns and round-robin from there on,
+    with a zero column added when the count is odd."""
     scale = _power_of_two_near_max(a)
     cols = np.ascontiguousarray(a.T) / scale  # row p is column p
     n = cols.shape[0]
+    sweep = _row_major_sweep
+    if n >= _ROUND_ROBIN_COLUMNS:
+        cols = np.concatenate([cols, np.zeros((n % 2, cols.shape[1]))])
+        sweep = _round_robin_sweep
     for _ in range(_MAX_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                x, y = cols[p], cols[q]
-                gamma = float(x @ y)
-                alpha, beta = float(x @ x), float(y @ y)
-                if abs(gamma) <= _JACOBI_TOL * math.sqrt(alpha) * math.sqrt(beta):
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                cols[p], cols[q] = c * x - s * y, s * x + c * y
-        if not rotated:
+        if not sweep(cols):
+            cols = cols[:n]
             return scale * np.sqrt(np.einsum("ij,ij->i", cols, cols))
     raise ConvergenceError(f"Jacobi columns not orthogonal after {_MAX_SWEEPS} sweeps")
 

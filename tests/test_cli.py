@@ -141,8 +141,9 @@ def test_unconvertible_array_field_is_an_input_error(e1_file, tmp_path, capsys,
 @pytest.mark.parametrize("command", ["solve", "check"])
 @pytest.mark.parametrize("name, value", [
     ("b", ["0.5", True]), ("A", [[True, 0.0], [0.0, 1.0]]), ("b", [float("nan"), 1.0]),
-    ("d", float("nan")), ("box_low", -float("inf")),
-], ids=["text-and-bool", "bool-entry", "nan-entry", "nan-d", "infinite-box-low"])
+    ("d", float("nan")), ("box_low", -float("inf")), ("d", 10**400), ("b", [10**400, 1.0]),
+], ids=["text-and-bool", "bool-entry", "nan-entry", "nan-d", "infinite-box-low",
+        "huge-int-d", "huge-int-entry"])
 def test_field_that_is_not_a_finite_number_is_an_input_error(tmp_path, capsys, command,
                                                              name, value):
     path = tmp_path / "e2.json"

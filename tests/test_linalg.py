@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quasieq.linalg as linalg
 from quasieq.errors import ConvergenceError, DimensionError, InputError
 from quasieq.linalg import (
     as_matrix,
@@ -14,6 +15,10 @@ from quasieq.linalg import (
     symmetric_eigenvalues,
 )
 from quasieq.monotonicity import paramonotonicity_report
+
+# Sizes from _ROUND_ROBIN_COLUMNS up run the round-robin sweep, the
+# others the row-major one; the odd sizes add a zero column.
+ROUND_ROBIN_SIZES = (11, 25, 40)
 
 
 def _det(m):
@@ -101,7 +106,7 @@ class TestSymmetricEigenvalues:
         with pytest.raises(ValueError):
             symmetric_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, *ROUND_ROBIN_SIZES])
     def test_trace_and_norm_invariants(self, n, rng):
         for _ in range(5):
             raw = rng.normal(size=(n, n))
@@ -122,7 +127,7 @@ class TestSymmetricEigenvalues:
             assert np.isclose(np.prod(vals), _det(m), atol=1e-9)
 
     def test_agrees_with_numpy(self, rng):
-        for n in (2, 5, 8):
+        for n in (2, 5, 8, *ROUND_ROBIN_SIZES):
             raw = rng.normal(size=(n, n))
             m = 0.5 * (raw + raw.T)
             vals = symmetric_eigenvalues(m)
@@ -143,13 +148,35 @@ class TestSymmetricEigenvalues:
         b = rng.normal(size=(6, 3))
         assert paramonotonicity_report(b @ b.T).rank_sym == 3
 
-    def test_convergence_error_on_starved_sweeps(self, monkeypatch):
-        import quasieq.linalg as linalg
-
+    def test_convergence_error_on_starved_sweeps(self, monkeypatch, rng):
         monkeypatch.setattr(linalg, "_MAX_SWEEPS", 0)
         for decompose in (symmetric_eigenvalues, singular_values):
             with pytest.raises(ConvergenceError):
                 decompose(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        # two round-robin sweeps run, but cannot orthogonalize these
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 2)
+        for n in ROUND_ROBIN_SIZES:
+            raw = rng.normal(size=(n, n))
+            for decompose in (symmetric_eigenvalues, singular_values):
+                with pytest.raises(ConvergenceError):
+                    decompose(raw + raw.T)
+
+    def test_round_robin_sizes_are_above_the_branch(self):
+        # the tests at n <= 8 run the row-major sweep, ROUND_ROBIN_SIZES
+        # the round-robin one
+        assert 8 < linalg._ROUND_ROBIN_COLUMNS <= min(ROUND_ROBIN_SIZES)
+
+    def test_sweep_orders_agree(self, monkeypatch, rng):
+        # the same spectra from the row-major sweep, forced at every size
+        for n in ROUND_ROBIN_SIZES:
+            raw = rng.normal(size=(n, n))
+            m = raw + raw.T
+            round_robin = symmetric_eigenvalues(m), singular_values(raw)
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_ROUND_ROBIN_COLUMNS", n + 1)
+                row_major = symmetric_eigenvalues(m), singular_values(raw)
+            for got, want in zip(round_robin, row_major):
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * abs(want).max())
 
 
 class TestSingularValues:
@@ -164,22 +191,26 @@ class TestSingularValues:
         np.testing.assert_allclose(singular_values(m), [4.0, 3.0], atol=1e-12)
 
     def test_rectangular_length(self, rng):
-        m = rng.normal(size=(3, 5))
-        vals = singular_values(m)
-        assert vals.shape == (3,)
-        assert np.all(np.diff(vals) <= 0.0)
-        assert np.all(vals >= 0.0)
+        for shape in ((3, 5), (11, 40), (40, 25)):
+            m = rng.normal(size=shape)
+            vals = singular_values(m)
+            assert vals.shape == (min(shape),)
+            assert np.all(np.diff(vals) <= 0.0)
+            assert np.all(vals >= 0.0)
+            np.testing.assert_allclose(vals, np.linalg.svd(m)[1], atol=1e-9)
 
     def test_transpose_invariance(self, rng):
-        m = rng.normal(size=(4, 2))
-        np.testing.assert_allclose(singular_values(m), singular_values(m.T), atol=1e-9)
+        for shape in ((4, 2), (40, 11), (12, 25)):
+            m = rng.normal(size=shape)
+            np.testing.assert_allclose(singular_values(m), singular_values(m.T), atol=1e-9)
 
     def test_agrees_with_numpy(self, rng):
-        m = rng.normal(size=(4, 4))
-        np.testing.assert_allclose(singular_values(m), np.linalg.svd(m)[1], atol=1e-9)
+        for n in (4, *ROUND_ROBIN_SIZES):
+            m = rng.normal(size=(n, n))
+            np.testing.assert_allclose(singular_values(m), np.linalg.svd(m)[1], atol=1e-9)
         # nearly singular U diag(s) V': the smallest singular value keeps its
         # relative accuracy, and the rank decision at 1e-8 is numpy's
-        for n in (2, 4, 10):
+        for n in (2, 4, 10, *ROUND_ROBIN_SIZES):
             u, _ = np.linalg.qr(rng.normal(size=(n, n)))
             v, _ = np.linalg.qr(rng.normal(size=(n, n)))
             for smallest in (1e-10, 1.2e-8):
@@ -205,6 +236,18 @@ class TestExtremeScale:
     def test_huge_singular_values(self):
         vals = singular_values(np.diag([1e200, -1e190]))
         np.testing.assert_allclose(vals, [1e200, 1e190], rtol=1e-12)
+
+    @pytest.mark.parametrize("n", ROUND_ROBIN_SIZES)
+    def test_round_robin_at_extreme_scale(self, n, rng):
+        raw = rng.normal(size=(n, n))
+        sym = raw + raw.T
+        for factor in (1e200, 1e-170):
+            want = np.linalg.eigvalsh(sym) * factor
+            np.testing.assert_allclose(symmetric_eigenvalues(sym * factor), want,
+                                       rtol=0.0, atol=1e-12 * abs(want).max())
+            want = np.linalg.svd(raw)[1] * factor
+            np.testing.assert_allclose(singular_values(raw * factor), want,
+                                       rtol=0.0, atol=1e-12 * want[0])
 
     def test_huge_certificate(self):
         report = paramonotonicity_report(np.array([[-1e200]]))

@@ -22,6 +22,26 @@ def _inst(A, A1, b1, c, d, n=2):
     )
 
 
+def _numpy_certificate(a_hat, tol=monotonicity.DEFAULT_TOL):
+    """(verdict, min eigenvalue of S, rank S, rank A_hat) from numpy's
+    LAPACK eigvalsh and svd, decided with the same relative tolerance and
+    the same rule: S PSD and rank S = rank A_hat."""
+    sym = 0.5 * (a_hat + a_hat.T)
+    min_eig = np.linalg.eigvalsh(sym)[0]
+    ranks = []
+    for m in (sym, a_hat):
+        s = np.linalg.svd(m, compute_uv=False)
+        ranks.append(int(np.count_nonzero(s > tol * max(1.0, s[0]))))
+    slack = tol * max(1.0, np.linalg.norm(a_hat))
+    return bool(min_eig >= -slack) and ranks[0] == ranks[1], min_eig, *ranks
+
+
+def _assert_agrees_with_numpy(report):
+    verdict, min_eig, *ranks = _numpy_certificate(report.a_hat)
+    assert (report.verdict, report.rank_sym, report.rank_a_hat) == (verdict, *ranks)
+    assert abs(report.min_eigenvalue - min_eig) <= report.tol
+
+
 @pytest.fixture
 def identity_case():
     return _inst(np.eye(2), np.eye(2), np.zeros(2), np.zeros(2), 1.0)
@@ -103,22 +123,32 @@ class TestCheckParamonotone:
                 check_paramonotone(identity_case, tol=tol)
 
     def test_agrees_with_numpy_on_generated_instances(self):
-        # numpy's LAPACK eigvalsh and svd, decided with the same relative
-        # tolerance and the same rule: S PSD and rank S = rank A_hat
-        tol = monotonicity.DEFAULT_TOL
         for inst in generate_instances(GeneratorConfig(n=3, count=300, seed=12345)):
             report = check_paramonotone(inst)
-            a_hat = compute_a_hat(inst)
-            sym = 0.5 * (a_hat + a_hat.T)
-            min_eig = np.linalg.eigvalsh(sym)[0]
-            ranks = []
-            for m in (sym, a_hat):
-                s = np.linalg.svd(m, compute_uv=False)
-                ranks.append(int(np.count_nonzero(s > tol * max(1.0, s[0]))))
-            slack = tol * max(1.0, np.linalg.norm(a_hat))
-            verdict = bool(min_eig >= -slack) and ranks[0] == ranks[1]
+            verdict, _, *ranks = _numpy_certificate(compute_a_hat(inst))
             assert (report.verdict, report.rank_sym, report.rank_a_hat) == (
                 verdict, *ranks)
+
+    @pytest.mark.parametrize("n, seed", [(20, 12345), (50, 601)])
+    def test_agrees_with_numpy_at_certificate_sizes(self, n, seed):
+        inst = generate_instances(GeneratorConfig(n=n, count=1, seed=seed))[0]
+        _assert_agrees_with_numpy(check_paramonotone(inst))
+
+    @pytest.mark.parametrize("psd_rank, verdict", [(24, True), (7, False)],
+                             ids=["definite", "rank-7"])
+    def test_psd_plus_skew_at_certificate_size(self, rng, psd_rank, verdict):
+        # A_hat = B B' + K with K skew has S = B B'; at rank 7 S is PSD
+        # but rank S = 7 < 24 = rank A_hat
+        n = 24
+        b = rng.normal(size=(n, psd_rank))
+        raw = rng.normal(size=(n, n))
+        a_hat = b @ b.T + (raw - raw.T)
+        inst = _inst(a_hat, np.eye(n), np.zeros(n), np.zeros(n), 1.0, n=n)
+        report = check_paramonotone(inst)
+        assert report.min_eigenvalue >= -report.tol  # S is PSD at either rank
+        assert report.verdict is verdict
+        assert (report.rank_sym, report.rank_a_hat) == (psd_rank, n)
+        _assert_agrees_with_numpy(report)
 
     def test_verdict_agrees_with_sampled_quadratic_forms(self, rng):
         # PSD of the symmetric part means v'Sv >= 0 for every direction;

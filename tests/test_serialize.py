@@ -73,8 +73,9 @@ class TestInstanceJSON:
 
     @pytest.mark.parametrize("name, value", [
         ("b", ["0.5", True]), ("A", [[True, 0.0], [0.0, 1.0]]), ("b", [math.nan, 1.0]),
-        ("d", math.nan), ("box_low", -math.inf),
-    ], ids=["text-and-bool", "bool-entry", "nan-entry", "nan-d", "infinite-box-low"])
+        ("d", math.nan), ("box_low", -math.inf), ("d", 10**400), ("b", [10**400, 1.0]),
+    ], ids=["text-and-bool", "bool-entry", "nan-entry", "nan-d", "infinite-box-low",
+            "huge-int-d", "huge-int-entry"])
     def test_entry_that_is_not_a_finite_number_is_named(self, name, value):
         data = instance_to_dict(generate_instances(GeneratorConfig(n=2, count=1, seed=7))[0])
         data[name] = value
