@@ -9,7 +9,10 @@ one refill while each draw still takes the next block of the one
 stream.  Draws whose denominator is not strictly positive over the box
 are rejected and the next candidate takes the next block; with
 require_paramonotone set, draws failing the paramonotonicity
-certificate are rejected the same way.  More than MAX_REJECTIONS
+certificate are rejected the same way.  A draw that the cheap LDL'
+screen rules out is rejected without the certificate; every other draw
+is accepted only on the certificate's verdict, so the screen changes
+no instance, only the cost of finding it.  More than MAX_REJECTIONS
 rejections in one call raise GenerationError.  n, count and seed must
 be integers (not bools), and the box bounds finite real numbers.
 """
@@ -19,11 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigurationError, DomainError, GenerationError
 from .linalg import is_integer, is_real
-from .monotonicity import check_paramonotone
+from .monotonicity import certainly_not_paramonotone, check_paramonotone
 from .oracles import AffineFractionalInstance
 from .rng import UniformStream
 from .sets import BoxSet
@@ -55,9 +56,11 @@ class GeneratorConfig:
 
 def _draw_instance(stream: UniformStream, n: int, box: BoxSet):
     u = stream.uniforms(2 * n * n + 3 * n + 1)
-    A, b, A1, b1, c, d = np.split(u, np.cumsum([n * n, n, n * n, n, n]))
-    return AffineFractionalInstance(A=A.reshape(n, n), b=b, A1=A1.reshape(n, n),
-                                    b1=b1, c=c, d=float(d[0]), box=box)
+    m = n * n
+    return AffineFractionalInstance(
+        A=u[:m].reshape(n, n), b=u[m:m + n], A1=u[m + n:2 * m + n].reshape(n, n),
+        b1=u[2 * m + n:2 * m + 2 * n], c=u[2 * m + 2 * n:2 * m + 3 * n],
+        d=float(u[-1]), box=box)
 
 
 def generate_instances(config: GeneratorConfig) -> list[AffineFractionalInstance]:
@@ -72,7 +75,7 @@ def generate_instances(config: GeneratorConfig) -> list[AffineFractionalInstance
         except DomainError:
             inst = None  # nonpositive denominator over the box
         if inst is not None and config.require_paramonotone:
-            if not check_paramonotone(inst).verdict:
+            if certainly_not_paramonotone(inst) or not check_paramonotone(inst).verdict:
                 inst = None
         if inst is None:
             rejections += 1

@@ -10,7 +10,9 @@ underflow.  The sweep order depends only on the column count, so
 results are bit-reproducible across runs: below _ROUND_ROBIN_COLUMNS
 columns a sweep rotates one pair at a time, row-major over the upper
 triangle; from there on it is round-robin (Brent & Luk 1985), each
-round rotating n/2 disjoint pairs in one numpy step.
+round rotating n/2 disjoint pairs in one numpy step.  Positive
+definiteness is decided apart from the spectra, by an LDL' factorization
+that stops at the first pivot that is not positive.
 """
 
 from __future__ import annotations
@@ -111,9 +113,11 @@ def _row_major_sweep(cols: np.ndarray) -> bool:
             alpha, beta = float(x @ x), float(y @ y)
             if abs(gamma) <= _JACOBI_TOL * math.sqrt(alpha) * math.sqrt(beta):
                 continue
-            rotated = True
             zeta = (beta - alpha) / (2.0 * gamma)
             t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+            if t == 0.0:
+                continue  # zeta overflowed: the rotation is the identity
+            rotated = True
             c = 1.0 / math.sqrt(1.0 + t * t)
             s = t * c
             cols[p], cols[q] = c * x - s * y, s * x + c * y
@@ -135,8 +139,8 @@ def _round_robin_order(size: int) -> np.ndarray:
 def _round_robin_sweep(cols: np.ndarray) -> bool:
     """One sweep of size - 1 rounds over an even stack of rows, each
     rotating the disjoint pairs (2i, 2i + 1) in one step, in place; a
-    pair under the threshold gets the identity rotation.  True if any
-    pair rotated."""
+    pair under the threshold, or whose angle underflows to 0, gets the
+    identity rotation.  True if any pair rotated."""
     size, m = cols.shape
     h = size // 2
     order = _round_robin_order(size)
@@ -147,16 +151,16 @@ def _round_robin_sweep(cols: np.ndarray) -> bool:
         gamma = np.einsum("ij,ij->i", x, y)
         alpha, beta = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", y, y)
         rotate = np.abs(gamma) > _JACOBI_TOL * np.sqrt(alpha) * np.sqrt(beta)
-        if not rotate.any():
-            cols[:] = cols[order]
-            continue
-        rotated = True
         # a zeta too large for a float is inf and gives t = 0, as with
         # the Python floats of the row-major sweep
         with np.errstate(over="ignore"):
             zeta = (beta - alpha) / (2.0 * np.where(rotate, gamma, 1.0))
         t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
         t = np.where(rotate, t, 0.0)
+        if not t.any():
+            cols[:] = cols[order]
+            continue
+        rotated = True
         c = 1.0 / np.sqrt(1.0 + t * t)
         s = t * c
         rotation = np.stack([c, -s, s, c], axis=1).reshape(h, 2, 2)
@@ -197,6 +201,28 @@ def symmetric_eigenvalues(m) -> np.ndarray:
         raise ValueError("matrix is not symmetric within tolerance")
     a = 0.5 * (a + a.T)  # kill representation round-off before sweeping
     return np.sort(_jacobi_column_norms(a + shift * np.eye(n))) - shift
+
+
+def is_positive_definite(m) -> bool:
+    """Whether a symmetric matrix is positive definite, from an LDL'
+    factorization run as n rank-one updates of the trailing block: False
+    at the first pivot that is not positive.  Only the lower triangle is
+    read.  The matrix is scaled by a power of two first; with no square
+    root and no LAPACK call the answer is bit-reproducible."""
+    a = as_matrix(m, "m")
+    if a.shape[0] != a.shape[1]:
+        raise DimensionError(f"matrix must be square, got {a.shape}")
+    a = a / _power_of_two_near_max(a)  # a copy, updated in place below
+    # past a tiny pivot of an indefinite matrix the trailing block may
+    # overflow; its diagonal then is -inf or nan, which is not positive
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(a.shape[0]):
+            pivot = a[k, k]
+            if not pivot > 0.0:
+                return False
+            column = a[k + 1:, k]
+            a[k + 1:, k + 1:] -= np.outer(column, column / pivot)
+    return True
 
 
 def singular_values(m) -> np.ndarray:

@@ -8,6 +8,10 @@ two Jacobi decompositions: the eigenvalues of S give its smallest
 eigenvalue and, as |eig(S)| are its singular values, rank(S); rank(A_hat)
 comes from the singular values of A_hat.  The PSD slack is relative to
 ||A_hat||_F.
+
+`certainly_not_paramonotone` is a cheap screen for rejection sampling:
+one LDL' factorization that can only say "not paramonotone".  The
+report remains the only way to accept an instance.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .errors import DimensionError
 from .linalg import (
     as_matrix,
     frobenius_norm,
+    is_positive_definite,
     is_real,
     numeric_rank,
     singular_values,
@@ -45,6 +50,29 @@ def compute_a_hat(inst) -> np.ndarray:
     return (inst.d * inst.A1.T - np.outer(inst.c, inst.b1)) @ inst.A
 
 
+def _psd_slack(a_hat: np.ndarray, tol: float) -> float:
+    """The absolute slack of the PSD test: tol relative to ||A_hat||_F."""
+    return tol * max(1.0, frobenius_norm(a_hat))
+
+
+def certainly_not_paramonotone(inst) -> bool:
+    """True when S + 2 slack I is not positive definite, which rules out
+    a paramonotone verdict from `check_paramonotone` at the default tol.
+
+    LDL' is backward stable (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 10), so its breakdown on S + 2 slack I means
+    lambda_min(S) <= -2 slack + O(n u ||S||) with u the unit roundoff.
+    As ||S|| <= ||A_hat||_F, the rounding term is far below slack, so
+    lambda_min(S) < -slack.  The report's Jacobi lambda_min is as
+    accurate, so it is below -slack too and the verdict is False.  False
+    from the screen decides nothing.
+    """
+    a_hat = compute_a_hat(inst)
+    sym = 0.5 * (a_hat + a_hat.T)
+    shift = 2.0 * _psd_slack(a_hat, DEFAULT_TOL)
+    return not is_positive_definite(sym + shift * np.eye(len(sym)))
+
+
 def paramonotonicity_report(a_hat: np.ndarray,
                             tol: float = DEFAULT_TOL) -> ParamonotonicityReport:
     """Certificate for a precomputed A_hat matrix."""
@@ -54,7 +82,7 @@ def paramonotonicity_report(a_hat: np.ndarray,
     if a_hat.shape[0] != a_hat.shape[1] or a_hat.size == 0:
         raise DimensionError(f"a_hat must be square and nonempty, got shape {a_hat.shape}")
     sym = 0.5 * (a_hat + a_hat.T)
-    slack = tol * max(1.0, frobenius_norm(a_hat))
+    slack = _psd_slack(a_hat, tol)
     eig = symmetric_eigenvalues(sym)
     min_eig = float(eig[0])
     rank_sym = numeric_rank(np.abs(eig), tol)

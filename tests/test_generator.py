@@ -4,10 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasieq import generator, rng
-from quasieq.errors import ConfigurationError, GenerationError
+from quasieq.errors import ConfigurationError, DomainError, GenerationError
 from quasieq.generator import GeneratorConfig, generate_instances
-from quasieq.monotonicity import check_paramonotone
+from quasieq.monotonicity import certainly_not_paramonotone, check_paramonotone
 from quasieq.rng import UniformStream, splitmix64_next
+from quasieq.sets import BoxSet
 from reference_rng import ScalarUniformStream, scalar_words, seed_state
 
 LANE = rng._LANE
@@ -213,6 +214,30 @@ class TestGenerateInstances:
         repeat = generate_instances(cfg)
         for a, b in zip(instances, repeat):
             np.testing.assert_array_equal(a.A, b.A)
+
+    @pytest.mark.parametrize("n, seed", [(1, 5), (2, 11), (3, 12345)])
+    def test_paramonotone_filter_matches_the_certificate_alone(self, n, seed):
+        # the plain candidate stream filtered by check_paramonotone alone:
+        # the screen in front of the certificate changes no instance
+        count = 4
+        stream = UniformStream(seed)
+        box = BoxSet.uniform(n, 1.0, 3.0)
+        expected, screened = [], 0
+        while len(expected) < count:
+            try:
+                inst = generator._draw_instance(stream, n, box)
+            except DomainError:
+                continue
+            screened += certainly_not_paramonotone(inst)
+            if check_paramonotone(inst).verdict:
+                expected.append(inst)
+        assert screened > 0  # the screen has draws to reject
+        cfg = GeneratorConfig(n=n, count=count, seed=seed, require_paramonotone=True)
+        got = generate_instances(cfg)
+        assert len(got) == count
+        for a, b in zip(got, expected):
+            for name in ("A", "b", "A1", "b1", "c", "d"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_generation_error_reports_acceptance_rate(self, monkeypatch):
         # entries lie in [0, 1), so over [-1e6, -1e5]^2 the denominator

@@ -9,6 +9,7 @@ from quasieq.linalg import (
     as_matrix,
     as_vector,
     frobenius_norm,
+    is_positive_definite,
     is_real,
     numeric_rank,
     singular_values,
@@ -179,6 +180,45 @@ class TestSymmetricEigenvalues:
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * abs(want).max())
 
 
+class TestIsPositiveDefinite:
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=60)
+    def test_agrees_with_numpy(self, n, seed, data):
+        # eigenvalues of magnitude 0.1 to 10, so that rounding moves none
+        # of them across 0
+        magnitudes = data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+        signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+        q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+        m = q @ np.diag(np.multiply(magnitudes, signs)) @ q.T
+        m = 0.5 * (m + m.T)
+        assert is_positive_definite(m) is bool(np.linalg.eigvalsh(m)[0] > 0.0)
+        assert is_positive_definite(m) is (min(signs) > 0.0)
+
+    def test_zero_semidefinite_and_scalar(self):
+        assert is_positive_definite(np.zeros((3, 3))) is False
+        assert is_positive_definite(np.ones((2, 2))) is False  # PSD, singular
+        assert is_positive_definite([[2.0]]) is True
+        assert is_positive_definite([[0.0]]) is False
+        assert is_positive_definite([[-1.0]]) is False
+
+    def test_extreme_scale(self):
+        for factor in (1e200, 1e-170):
+            assert is_positive_definite(factor * np.array([[2.0, 1.0], [1.0, 2.0]]))
+            assert not is_positive_definite(factor * np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_subnormal_pivot_overflows_without_warning(self):
+        # the Schur complement 1 - 1/5e-324 overflows to -inf
+        assert is_positive_definite([[5e-324, 1.0], [1.0, 1.0]]) is False
+
+    def test_rejects_nonsquare(self):
+        with pytest.raises(DimensionError):
+            is_positive_definite(np.ones((2, 3)))
+
+
 class TestSingularValues:
     def test_identity(self):
         np.testing.assert_allclose(singular_values(np.eye(2)), [1.0, 1.0], atol=1e-12)
@@ -248,6 +288,15 @@ class TestExtremeScale:
             want = np.linalg.svd(raw)[1] * factor
             np.testing.assert_allclose(singular_values(raw * factor), want,
                                        rtol=0.0, atol=1e-12 * want[0])
+
+    @pytest.mark.parametrize("n", [2, 12], ids=["row-major", "round-robin"])
+    def test_angle_that_underflows_is_not_a_rotation(self, n):
+        # the second column's squared norm underflows to 0, so the pair
+        # passes the threshold, but its angle underflows to 0: the
+        # identity rotation must not count, or the sweeps never end
+        m = np.zeros((n, n))
+        m[0] = [1.0, 1e-310] + [0.0] * (n - 2)
+        np.testing.assert_allclose(singular_values(m), np.eye(n)[0], rtol=0.0, atol=1e-300)
 
     def test_huge_certificate(self):
         report = paramonotonicity_report(np.array([[-1e200]]))

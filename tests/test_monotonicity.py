@@ -1,12 +1,17 @@
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quasieq.monotonicity as monotonicity
 from quasieq.errors import DimensionError
 from quasieq.generator import GeneratorConfig, generate_instances
 from quasieq.monotonicity import (
+    DEFAULT_TOL,
+    certainly_not_paramonotone,
     check_paramonotone,
     compute_a_hat,
     paramonotonicity_report,
@@ -40,6 +45,26 @@ def _assert_agrees_with_numpy(report):
     verdict, min_eig, *ranks = _numpy_certificate(report.a_hat)
     assert (report.verdict, report.rank_sym, report.rank_a_hat) == (verdict, *ranks)
     assert abs(report.min_eigenvalue - min_eig) <= report.tol
+
+
+# (A_hat, rank S, rank A_hat, verdict)
+REPORT_CASES = pytest.mark.parametrize(
+    "matrix, rank_sym, rank_a_hat, verdict",
+    [
+        ([[0.0, 0.0], [0.0, 1.0]], 1, 1, True),
+        # S = 0 is PSD, but ker S is the whole plane while A_hat is invertible
+        ([[0.0, 1.0], [-1.0, 0.0]], 0, 2, False),
+        # S = diag(1, 0) is PSD with rank 1 < rank A_hat = 2
+        ([[1.0, 1.0], [-1.0, 0.0]], 1, 2, False),
+    ],
+    ids=["psd-diagonal", "rotation", "psd-sym-part-of-lower-rank"],
+)
+
+
+def _from_a_hat(a_hat):
+    """An instance whose A_hat is a_hat: A1 = I, b1 = c = 0, d = 1."""
+    n = len(a_hat)
+    return _inst(a_hat, np.eye(n), np.zeros(n), np.zeros(n), 1.0, n=n)
 
 
 @pytest.fixture
@@ -165,17 +190,7 @@ class TestCheckParamonotone:
 
 
 class TestReportConstruction:
-    @pytest.mark.parametrize(
-        "matrix, rank_sym, rank_a_hat, verdict",
-        [
-            ([[0.0, 0.0], [0.0, 1.0]], 1, 1, True),
-            # S = 0 is PSD, but ker S is the whole plane while A_hat is invertible
-            ([[0.0, 1.0], [-1.0, 0.0]], 0, 2, False),
-            # S = diag(1, 0) is PSD with rank 1 < rank A_hat = 2
-            ([[1.0, 1.0], [-1.0, 0.0]], 1, 2, False),
-        ],
-        ids=["psd-diagonal", "rotation", "psd-sym-part-of-lower-rank"],
-    )
+    @REPORT_CASES
     def test_report_from_matrix(self, matrix, rank_sym, rank_a_hat, verdict):
         report = paramonotonicity_report(np.array(matrix))
         assert report.rank_sym == rank_sym
@@ -209,3 +224,40 @@ class TestReportConstruction:
             calls.clear()
             check_paramonotone(inst)
             assert calls == {"symmetric_eigenvalues": 1, "singular_values": 1}
+
+
+class TestScreen:
+    """certainly_not_paramonotone may only reject what the report rejects."""
+
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        k=st.sampled_from([-3.0, -1.5, -1.0, -0.5, 0.0, 0.5, 3.0]),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    @settings(max_examples=100)
+    def test_never_rejects_what_the_report_accepts(self, n, seed, k, scale):
+        # A_hat = S + K with K skew and lambda_min(S) = k slack.  S and K
+        # are orthogonal in the Frobenius inner product, so ||A_hat||_F,
+        # and with it the slack, follows from K and the other eigenvalues.
+        gen = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(gen.normal(size=(n, n)))
+        rest = scale * gen.uniform(0.5, 2.0, size=n - 1)
+        raw = scale * gen.normal(size=(n, n))
+        skew = raw - raw.T
+        slack = DEFAULT_TOL * max(1.0, math.sqrt(np.sum(rest**2) + np.sum(skew**2)))
+        a_hat = q @ np.diag([k * slack, *rest]) @ q.T + skew
+        screened = certainly_not_paramonotone(_from_a_hat(a_hat))
+        assert not (screened and paramonotonicity_report(a_hat).verdict)
+        # S + 2 slack I has lambda_min = (k + 2) slack
+        assert screened is (k < -2.0)
+
+    @REPORT_CASES
+    def test_report_construction_matrices_pass(self, matrix, rank_sym, rank_a_hat, verdict):
+        # two of the three are rejected, by the ranks alone
+        assert certainly_not_paramonotone(_from_a_hat(np.array(matrix))) is False
+        assert paramonotonicity_report(np.array(matrix)).verdict is verdict
+
+    def test_negated_identity_is_screened_out(self, negated_case, identity_case):
+        assert certainly_not_paramonotone(negated_case) is True
+        assert certainly_not_paramonotone(identity_case) is False
