@@ -67,7 +67,6 @@ class DinkelbachResult:
     y: np.ndarray
     value: float
     iterations: int
-    alphas: tuple[float, ...]
 
 
 def _minimizing_vertex(w: np.ndarray, box: BoxSet) -> np.ndarray:
@@ -93,8 +92,7 @@ def dinkelbach_minimize(obj: FractionalObjective, box: BoxSet) -> DinkelbachResu
     (p - alpha c)'y and its ratio alpha'.  The first round whose alpha'
     is not strictly below alpha ends the loop and returns the vertex and
     ratio it started from: since y' minimizes the parametric function,
-    no vertex has a ratio below alpha.  alphas holds the strictly falling
-    ratios and iterations counts the rounds, the last one included.
+    no vertex has a ratio below alpha.  iterations counts every round.
 
     The rounds end within n + 2: each w_i = fl(p_i - fl(alpha c_i)) is
     monotone in alpha, so as alpha falls each coordinate of y' flips at
@@ -103,16 +101,18 @@ def dinkelbach_minimize(obj: FractionalObjective, box: BoxSet) -> DinkelbachResu
     if obj.p.size != box.dim:
         raise DimensionError(f"objective has dimension {obj.p.size}, box has {box.dim}")
     _check_denominator(obj.c, obj.d, box)
-    y = _minimizing_vertex(obj.p, box)
+    return _dinkelbach(obj, box, _minimizing_vertex(obj.p, box))
+
+
+def _dinkelbach(obj: FractionalObjective, box: BoxSet, y: np.ndarray) -> DinkelbachResult:
+    """dinkelbach_minimize's rounds, unchecked, from any y in the box (n + 2 at most)."""
     alpha = obj.ratio(y)
-    alphas = [alpha]
     for iteration in itertools.count(1):
         y_next = _minimizing_vertex(obj.p - alpha * obj.c, box)
         alpha_next = obj.ratio(y_next)
         if not alpha_next < alpha:
-            return DinkelbachResult(y, alpha, iteration, tuple(alphas))
+            return DinkelbachResult(y, alpha, iteration)
         y, alpha = y_next, alpha_next
-        alphas.append(alpha)
 
 
 def response_objective(inst, x) -> FractionalObjective:

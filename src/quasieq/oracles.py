@@ -19,7 +19,8 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .errors import DimensionError
-from .fractional import _check_denominator, _response_objective, best_response_residual
+from .fractional import (_check_denominator, _dinkelbach, _minimizing_vertex,
+                         _response_objective, best_response_residual)
 from .linalg import as_matrix, as_real, as_vector
 from .sets import BoxSet
 
@@ -28,9 +29,9 @@ from .sets import BoxSet
 class EquilibriumOracle(Protocol):
     """Contract the solver consumes: box is the feasible set C,
     diagonal_subgradient(x) returns an (unnormalized) g with
-    <g, y - x> < 0 for every y in C with f(x, y) < 0, and residual(x)
-    returns -min_{y in C} f(x, y) >= 0, which is zero exactly at a
-    solution."""
+    <g, y - x> < 0 for every y in C with f(x, y) < 0, residual(x) returns
+    -min_{y in C} f(x, y) >= 0, zero exactly at a solution, and probe(x,
+    start) returns (g, residual, y*), y* a minimizer searched from start."""
 
     @property
     def box(self) -> BoxSet: ...
@@ -38,6 +39,8 @@ class EquilibriumOracle(Protocol):
     def diagonal_subgradient(self, x) -> np.ndarray: ...
 
     def residual(self, x) -> float: ...
+
+    def probe(self, x, start=None) -> tuple[np.ndarray, float, np.ndarray]: ...
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,9 +106,9 @@ def fractional_diagonal_subgradient(inst: AffineFractionalInstance, x) -> np.nda
 
 @dataclass(frozen=True, eq=False)
 class AffineFractionalOracle:
-    """Solver-facing oracle over an AffineFractionalInstance; the best
-    response behind the residual is solved exactly by Dinkelbach
-    iteration."""
+    """Solver-facing oracle over an AffineFractionalInstance.  Dinkelbach
+    iteration finds each best response exactly; in a probe it starts at
+    start, a point of the box that is not checked, or if None at p'y's minimizer."""
 
     instance: AffineFractionalInstance
 
@@ -118,3 +121,11 @@ class AffineFractionalOracle:
 
     def residual(self, x) -> float:
         return best_response_residual(self.instance, x)[1] + 0.0  # avoid -0.0
+
+    def probe(self, x, start=None) -> tuple[np.ndarray, float, np.ndarray]:
+        """(g, residual, y*) at x from one response objective."""
+        x, box = as_vector(x, "x"), self.instance.box
+        obj = _response_objective(self.instance, x)
+        phi = obj.ratio(x)
+        result = _dinkelbach(obj, box, _minimizing_vertex(obj.p, box) if start is None else start)
+        return obj.p - phi * obj.c, phi - result.value + 0.0, result.y

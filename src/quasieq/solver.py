@@ -8,10 +8,10 @@ problems, in two variants:
   every iteration and stops once it drops below tol_residual, which
   certifies an approximate solution.
 
-The oracle supplies its box, diagonal_subgradient(x) and residual(x)
-(`oracles.EquilibriumOracle`); the solver needs nothing else.  The
-feasible set C must be that box, since the residual is measured over it,
-so each step is projected by clipping onto the box's validated bounds.
+The oracle supplies box, diagonal_subgradient(x), residual(x) and, once
+per ng2 iterate, probe(x, start) (`oracles.EquilibriumOracle`).  C must
+be that box, since the residual is measured over it, so each step is
+projected by clipping onto the box's validated bounds.
 
 Both keep a per-iteration trace that can be audited after the fact: the
 step-length bound ||x_{k+1} - x_k|| <= alpha_k and a Fejer-type
@@ -132,18 +132,18 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
     best_residual = math.inf
     final_residual: Optional[float] = None
 
+    response = None  # ng2: the last best response, where the next probe starts
     start = time.perf_counter()
     for k in range(config.max_iter):
-        residual: Optional[float] = None
         if ng2:
-            residual = oracle.residual(x)
+            g, residual, response = oracle.probe(x, response)
             best_residual = min(best_residual, residual)
             if residual < config.tol_residual:
                 status = SolveStatus.RESIDUAL_BELOW_TOL
                 final_residual = residual
                 break
-
-        g = oracle.diagonal_subgradient(x)
+        else:
+            g, residual = oracle.diagonal_subgradient(x), None
         g_raw_norm = math.sqrt(g @ g)
         if g_raw_norm <= TOL_ZERO_GRAD:
             status = SolveStatus.ZERO_GRADIENT

@@ -1,5 +1,6 @@
 import itertools
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from quasieq.cli import main
 from quasieq.errors import DimensionError, DomainError
 from quasieq.fractional import (
     FractionalObjective,
+    _dinkelbach,
     best_response_residual,
     dinkelbach_minimize,
     response_objective,
@@ -35,6 +37,19 @@ def _vertex_min(w, box):
     for corner in itertools.product(*zip(box.lo, box.hi)):
         best = min(best, float(np.dot(w, corner)))
     return best
+
+
+def _recorded_ratios(obj, box):
+    """dinkelbach_minimize's result and every ratio it computed, in order."""
+    ratios = []
+
+    class Recording(FractionalObjective):
+        def ratio(self, y):
+            ratios.append(super().ratio(y))
+            return ratios[-1]
+
+    res = dinkelbach_minimize(Recording(p=obj.p, q=obj.q, c=obj.c, d=obj.d), box)
+    return res, ratios
 
 
 class TestLinearMinimization:
@@ -124,10 +139,13 @@ class TestDinkelbach:
                 c=rng.uniform(0, 1, size=3),
                 d=4.0,
             )
-            res = dinkelbach_minimize(obj, box)
-            alphas = np.asarray(res.alphas)
+            res, ratios = _recorded_ratios(obj, box)
+            # one ratio per round, and the start's; the last round's does not fall
+            assert len(ratios) == res.iterations + 1
+            alphas = np.asarray(ratios[:-1])
             assert np.all(np.diff(alphas) < 0.0)
             assert res.value == alphas[-1]
+            assert not ratios[-1] < res.value
 
     def test_parametric_value_vanishes_at_termination(self, rng):
         # the returned ratio alpha is attained, so F(alpha) <= 0; the vertex
@@ -141,7 +159,7 @@ class TestDinkelbach:
                 d=3.0,
             )
             res = dinkelbach_minimize(obj, box)
-            assert obj.ratio(res.y) == res.value == res.alphas[-1]
+            assert obj.ratio(res.y) == res.value
             y, _ = minimize_linear_over_box(obj.p - res.value * obj.c, box)
             assert obj.ratio(y) >= res.value
 
@@ -263,6 +281,31 @@ class TestExactStoppingRule:
         assert code == (0 if final_residual < 1e-1 else 1)
 
 
+class TestWarmStart:
+    """The solver's probe starts Dinkelbach at the previous best response
+    instead of the vertex minimizing p'y; from any vertex of the box the
+    rounds must reach the same minimum within the same n + 2 bound."""
+
+    @pytest.mark.parametrize("kind", ["integer", "equal-breakpoints", "c-zero", "mixed-sign"])
+    def test_every_vertex_start_reaches_the_minimum(self, kind):
+        rng = np.random.default_rng(2026)
+        zero_in_p = 0
+        for _ in range(40):
+            n = int(rng.integers(1, 7))
+            obj, box = _objective_on_box(rng, kind, n)
+            zero_in_p += bool(np.any(obj.p == 0.0))  # ties w_i = 0 at alpha = 0
+            cold = dinkelbach_minimize(obj, box).value
+            chain = chain_minimize(obj, box)[1]
+            for corner in itertools.product(*zip(box.lo, box.hi)):
+                warm = _dinkelbach(obj, box, np.array(corner))
+                assert warm.value == pytest.approx(cold, rel=1e-12, abs=0.0)
+                assert warm.value == pytest.approx(chain, rel=1e-12, abs=0.0)
+                assert obj.ratio(warm.y) == warm.value
+                assert warm.iterations <= n + 2
+        if kind in ("integer", "c-zero"):
+            assert zero_in_p > 0
+
+
 class TestGridBruteforce:
     def test_includes_endpoints(self):
         obj = FractionalObjective(p=[-1.0], q=3.0, c=[1.0], d=1.0)
@@ -306,6 +349,19 @@ class TestBestResponse:
             x = rng.uniform(1.0, 3.0, size=3)
             _, residual = best_response_residual(inst, x)
             assert residual >= -1e-12
+
+    @pytest.mark.parametrize("entry", [
+        lambda inst, x: dinkelbach_minimize(response_objective(inst, x), inst.box),
+        best_response_residual,
+    ], ids=["dinkelbach_minimize", "best_response_residual"])
+    def test_public_entries_check_the_denominator(self, entry):
+        # c'y + d = 2.5 - y is negative on (2.5, 3], so no instance can hold
+        # it; the solver's probe trusts the instance, the public entries do not
+        box = BoxSet.uniform(1, 1.0, 3.0)
+        data = SimpleNamespace(A=np.eye(1), b=np.zeros(1), A1=np.eye(1), b1=np.zeros(1),
+                               c=np.array([-1.0]), d=2.5, box=box)
+        with pytest.raises(DomainError, match="over the box"):
+            entry(data, np.array([2.0]))
 
     @pytest.mark.parametrize("x", [[np.nan], [1.0, 2.0]])
     def test_rejects_bad_point(self, e1, x):

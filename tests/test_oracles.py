@@ -200,7 +200,12 @@ class TestOracleClasses:
             def diagonal_subgradient(self, x):
                 return np.zeros(1)
 
+        class NoProbe(NoResidual):
+            def residual(self, x):
+                return 0.0
+
         assert not isinstance(NoResidual(), EquilibriumOracle)
+        assert not isinstance(NoProbe(), EquilibriumOracle)
 
     def test_fractional_oracle_delegates(self, e1):
         oracle = AffineFractionalOracle(e1)
@@ -210,6 +215,25 @@ class TestOracleClasses:
         np.testing.assert_array_equal(
             oracle.diagonal_subgradient(x), fractional_diagonal_subgradient(e1, x)
         )
+
+    def test_probe_is_subgradient_residual_and_best_response(self):
+        point_rng = np.random.default_rng(75)
+        for inst in generate_instances(GeneratorConfig(n=4, count=5, seed=75)):
+            oracle = AffineFractionalOracle(inst)
+            for _ in range(5):
+                x = point_rng.uniform(1.0, 3.0, size=4)
+                y, residual = best_response_residual(inst, x)
+                # without a start the probe is the cold best response, bit for bit
+                g, probed, y_probed = oracle.probe(list(x))
+                np.testing.assert_array_equal(g, oracle.diagonal_subgradient(x))
+                assert probed == oracle.residual(x)
+                np.testing.assert_array_equal(y_probed, y)
+                for start in (inst.box.lo, inst.box.hi, y):
+                    _, warm, y_warm = oracle.probe(x, start)
+                    assert warm == pytest.approx(residual, rel=1e-12, abs=1e-12)
+                    assert inst.box.contains(y_warm)
+        with pytest.raises(ValueError):
+            oracle.probe(np.full(4, np.nan))
 
     def test_fractional_best_response_sign_convention(self, e1):
         # residual(x) = -min_y f(x, y) = -f(x, y*) >= 0

@@ -1,7 +1,9 @@
 """The generator's stream is pinned by the instance digests that the
-benchmark records in perfbench/reference.json.  These tests recompute
-them with the benchmark's own workload definitions, so a change to the
-seeded instances fails here and not only in a benchmark run."""
+benchmark records in perfbench/reference.json, and the solver by the
+paper batch's (status, iterations) signature there.  These tests
+recompute both with the benchmark's own workload definitions, so a
+change to the seeded instances or to a solve fails here and not only in
+a benchmark run."""
 
 import importlib
 import json
@@ -29,3 +31,12 @@ def test_instance_digest(workloads, name):
     workload = workloads.WORKLOADS[name]
     digest = workloads.instance_digest(workload.instances(workloads.REFERENCE_SEED))
     assert digest == REFERENCE["digests"][name]
+
+
+def test_paper_batch_keeps_its_signature(workloads):
+    # the same-behaviour gate of perfbench/run.py: batch 0 of paper at the
+    # reference seed, solved through the workload's own calls
+    paper = workloads.WORKLOADS["paper"]
+    batch = paper.setup(workloads.REFERENCE_SEED)
+    ops = [workloads.timed(call) for call in paper.calls(batch)]
+    assert workloads.SolveWorkload.signature(ops) == REFERENCE["signatures"]["paper"]

@@ -1,9 +1,11 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from quasieq import oracles
 from quasieq.errors import ConfigurationError, DimensionError
 from quasieq.fractional import best_response_residual
 from quasieq.generator import GeneratorConfig, generate_instances
@@ -343,6 +345,58 @@ class TestIterateBehaviour:
                 if rec.residual is not None and rec.residual > 1e-3:
                     y, _ = best_response_residual(inst, rec.x)
                     assert float(rec.g_unit @ (y - rec.x)) < 1e-12
+
+    def test_interleaved_solves_match_separate_solves(self, monkeypatch):
+        # the warm start travels with each solve, not in the oracle: two ng2
+        # solves on one oracle, their probes taken in turn, report what each
+        # reports alone, and each probe runs as many Dinkelbach rounds
+        rounds = []
+        dinkelbach = oracles._dinkelbach
+
+        def counted(*args):
+            result = dinkelbach(*args)
+            rounds.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(oracles, "_dinkelbach", counted)
+        inst = generate_instances(GeneratorConfig(n=5, count=1, seed=76))[0]
+        oracle, config = AffineFractionalOracle(inst), SolverConfig(variant="ng2")
+        alone, alone_rounds = [], []
+        for x0 in (inst.box.lo, inst.box.hi):
+            rounds.clear()
+            alone.append(normal_subgradient_solve(oracle, inst.box, config, x0))
+            alone_rounds.append(rounds.copy())
+        # before each probe of the first solve, the second solve's next
+        # probe, from its own last best response
+        second_points, second_start = iter(alone[1].trace), None
+        second_residuals, first_rounds = [], []
+
+        def probe(x, start=None):
+            nonlocal second_start
+            rec = next(second_points, None)
+            if rec is not None:
+                _, residual, second_start = oracle.probe(rec.x, second_start)
+                second_residuals.append(residual)
+            result = oracle.probe(x, start)
+            first_rounds.append(rounds[-1])
+            return result
+
+        interleaved = SimpleNamespace(box=oracle.box, residual=oracle.residual,
+                                      diagonal_subgradient=oracle.diagonal_subgradient,
+                                      probe=probe)
+        rounds.clear()
+        first = normal_subgradient_solve(interleaved, inst.box, config, inst.box.lo)
+        assert len(second_residuals) > 10
+        assert second_residuals == [rec.residual for rec in alone[1].trace[:len(second_residuals)]]
+        assert rounds[0::2][:len(second_residuals)] == alone_rounds[1][:len(second_residuals)]
+        assert first_rounds == alone_rounds[0]
+        assert (first.status, first.iterations, first.final_residual, first.best_residual) == (
+            alone[0].status, alone[0].iterations, alone[0].final_residual, alone[0].best_residual)
+        np.testing.assert_array_equal(first.x_final, alone[0].x_final)
+        for got, want in zip(first.trace, alone[0].trace, strict=True):
+            assert (got.k, got.residual, got.g_raw_norm, got.step_norm) == (
+                want.k, want.residual, want.g_raw_norm, want.step_norm)
+            np.testing.assert_array_equal(got.x, want.x)
 
     def test_ng2_final_residual_below_tolerance_on_random_instances(self):
         for inst in generate_instances(GeneratorConfig(n=5, count=10, seed=74)):
