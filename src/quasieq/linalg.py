@@ -12,7 +12,7 @@ columns a sweep rotates one pair at a time, row-major over the upper
 triangle; from there on it is round-robin (Brent & Luk 1985), each
 round rotating n/2 disjoint pairs in one numpy step.  Positive
 definiteness is decided apart from the spectra, by an LDL' factorization
-that stops at the first pivot that is not positive.
+that stops once no matrix of its stack has only positive pivots.
 """
 
 from __future__ import annotations
@@ -203,26 +203,33 @@ def symmetric_eigenvalues(m) -> np.ndarray:
     return np.sort(_jacobi_column_norms(a + shift * np.eye(n))) - shift
 
 
-def is_positive_definite(m) -> bool:
+def is_positive_definite(m) -> bool | np.ndarray:
     """Whether a symmetric matrix is positive definite, from an LDL'
     factorization run as n rank-one updates of the trailing block: False
-    at the first pivot that is not positive.  Only the lower triangle is
-    read.  The matrix is scaled by a power of two first; with no square
-    root and no LAPACK call the answer is bit-reproducible."""
-    a = as_matrix(m, "m")
-    if a.shape[0] != a.shape[1]:
+    once a pivot is not positive.  Only the lower triangle is read.  A
+    2-D m gives a bool; an ndarray stack of shape (..., n, n) gives a
+    boolean array of shape (...), one verdict per matrix, all factored
+    together.  Each matrix is scaled by a power of two first; with no
+    square root and no LAPACK call the answer is bit-reproducible."""
+    a = _as_real_array(m, "m", max(2, getattr(m, "ndim", 2)))
+    n = a.shape[-1]
+    if a.shape[-2] != n:
         raise DimensionError(f"matrix must be square, got {a.shape}")
-    a = a / _power_of_two_near_max(a)  # a copy, updated in place below
+    peak = np.max(np.abs(a), axis=(-2, -1), initial=0.0, keepdims=True)
+    a = a / np.ldexp(1.0, np.frexp(peak)[1] - 1)  # a copy, updated in place below
+    positive = np.ones(a.shape[:-2], dtype=bool)
     # past a tiny pivot of an indefinite matrix the trailing block may
-    # overflow; its diagonal then is -inf or nan, which is not positive
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(a.shape[0]):
-            pivot = a[k, k]
-            if not pivot > 0.0:
-                return False
-            column = a[k + 1:, k]
-            a[k + 1:, k + 1:] -= np.outer(column, column / pivot)
-    return True
+    # overflow; its diagonal then is -inf or nan, which is not positive,
+    # and reaches no other matrix of the stack
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            pivot = a[..., k, k]
+            positive &= pivot > 0.0
+            if not positive.any():
+                break
+            col = a[..., k + 1:, k]
+            a[..., k + 1:, k + 1:] -= col[..., :, None] * (col / pivot[..., None])[..., None, :]
+    return bool(positive) if a.ndim == 2 else positive
 
 
 def singular_values(m) -> np.ndarray:

@@ -9,9 +9,10 @@ eigenvalue and, as |eig(S)| are its singular values, rank(S); rank(A_hat)
 comes from the singular values of A_hat.  The PSD slack is relative to
 ||A_hat||_F.
 
-`certainly_not_paramonotone` is a cheap screen for rejection sampling:
-one LDL' factorization that can only say "not paramonotone".  The
-report remains the only way to accept an instance.
+`screened_out` is a cheap screen for rejection sampling: one LDL'
+factorization of a whole stack of candidates that can only say "not
+paramonotone"; `certainly_not_paramonotone` runs it on one instance.
+The report remains the only way to accept an instance.
 """
 
 from __future__ import annotations
@@ -50,27 +51,33 @@ def compute_a_hat(inst) -> np.ndarray:
     return (inst.d * inst.A1.T - np.outer(inst.c, inst.b1)) @ inst.A
 
 
-def _psd_slack(a_hat: np.ndarray, tol: float) -> float:
-    """The absolute slack of the PSD test: tol relative to ||A_hat||_F."""
-    return tol * max(1.0, frobenius_norm(a_hat))
-
-
-def certainly_not_paramonotone(inst) -> bool:
-    """True when S + 2 slack I is not positive definite, which rules out
-    a paramonotone verdict from `check_paramonotone` at the default tol.
+def screened_out(A, A1, b1, c, d) -> np.ndarray:
+    """Per candidate of a stack (A and A1 of shape (..., n, n), b1 and c
+    (..., n), d (...)): True where S + 2 slack I is not positive definite,
+    which rules out a paramonotone verdict from `check_paramonotone` at
+    the default tol.  All candidates are factored together.
 
     LDL' is backward stable (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., ch. 10), so its breakdown on S + 2 slack I means
-    lambda_min(S) <= -2 slack + O(n u ||S||) with u the unit roundoff.
-    As ||S|| <= ||A_hat||_F, the rounding term is far below slack, so
+    lambda_min(S) <= -2 slack + O(n u ||S||) with u the unit roundoff,
+    whatever the order of the sums that formed A_hat, S and slack.  As
+    ||S|| <= ||A_hat||_F, the rounding term is far below slack, so
     lambda_min(S) < -slack.  The report's Jacobi lambda_min is as
     accurate, so it is below -slack too and the verdict is False.  False
     from the screen decides nothing.
     """
-    a_hat = compute_a_hat(inst)
-    sym = 0.5 * (a_hat + a_hat.T)
-    shift = 2.0 * _psd_slack(a_hat, DEFAULT_TOL)
-    return not is_positive_definite(sym + shift * np.eye(len(sym)))
+    d = np.asarray(d)[..., None, None]
+    a_hat = (d * np.swapaxes(A1, -1, -2) - c[..., :, None] * b1[..., None, :]) @ A
+    sym = 0.5 * (a_hat + np.swapaxes(a_hat, -1, -2))
+    # ||A_hat||_F by hypot, which does not overflow where the squares would
+    norm = np.hypot.reduce(a_hat.reshape(*a_hat.shape[:-2], -1), axis=-1)
+    shift = 2.0 * DEFAULT_TOL * np.maximum(1.0, norm)[..., None, None]
+    return np.logical_not(is_positive_definite(sym + shift * np.eye(c.shape[-1])))
+
+
+def certainly_not_paramonotone(inst) -> bool:
+    """`screened_out` for one affine-fractional instance."""
+    return bool(screened_out(inst.A, inst.A1, inst.b1, inst.c, inst.d))
 
 
 def paramonotonicity_report(a_hat: np.ndarray,
@@ -82,7 +89,7 @@ def paramonotonicity_report(a_hat: np.ndarray,
     if a_hat.shape[0] != a_hat.shape[1] or a_hat.size == 0:
         raise DimensionError(f"a_hat must be square and nonempty, got shape {a_hat.shape}")
     sym = 0.5 * (a_hat + a_hat.T)
-    slack = _psd_slack(a_hat, tol)
+    slack = tol * max(1.0, frobenius_norm(a_hat))  # the absolute PSD slack
     eig = symmetric_eigenvalues(sym)
     min_eig = float(eig[0])
     rank_sym = numeric_rank(np.abs(eig), tol)

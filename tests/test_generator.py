@@ -248,3 +248,47 @@ class TestGenerateInstances:
         with pytest.raises(GenerationError, match="rejected 26 draws") as err:
             generate_instances(cfg)
         assert err.value.acceptance_rate == 0.0
+
+    def test_rejection_limit_counts_each_candidate_of_a_block(self, monkeypatch):
+        # no n = 4 draw passes the certificate; the limit fires within the
+        # first block of candidates, at the 26th rejection
+        monkeypatch.setattr(generator, "MAX_REJECTIONS", 25)
+        cfg = GeneratorConfig(n=4, count=1, seed=12345, require_paramonotone=True)
+        with pytest.raises(GenerationError, match="rejected 26 draws for 0 ") as err:
+            generate_instances(cfg)
+        assert err.value.acceptance_rate == 0.0
+
+    def test_rejection_limit_fires_where_the_scalar_loop_does(self, monkeypatch):
+        # candidate by candidate off the stream, rejections counted in order
+        n, seed, limit = 3, 12345, 400
+        stream, box = UniformStream(seed), BoxSet.uniform(n, 1.0, 3.0)
+        accepted = rejections = 0
+        while rejections <= limit:
+            try:
+                passed = check_paramonotone(generator._draw_instance(stream, n, box)).verdict
+            except DomainError:
+                passed = False
+            accepted += passed
+            rejections += not passed
+        per_block = BLOCK // (2 * n * n + 3 * n + 1)
+        assert accepted > 0 and (accepted + rejections) % per_block != 0  # fires mid-block
+        rate = accepted / (accepted + rejections)
+        monkeypatch.setattr(generator, "MAX_REJECTIONS", limit)
+        cfg = GeneratorConfig(n=n, count=20, seed=seed, require_paramonotone=True)
+        with pytest.raises(GenerationError) as err:
+            generate_instances(cfg)
+        assert str(err.value) == (f"rejected {rejections} draws for {accepted} accepted "
+                                  f"instances (acceptance rate {rate:.3g})")
+        assert err.value.acceptance_rate == rate
+
+    @pytest.mark.parametrize("n, seed", [(2, 11), (3, 12345)])
+    def test_paramonotone_count_is_a_prefix_of_a_larger_count(self, n, seed):
+        # candidates drawn past the last accepted one are never seen
+        count = 3
+        few, more = (generate_instances(GeneratorConfig(n=n, count=c, seed=seed,
+                                                        require_paramonotone=True))
+                     for c in (count, count + 5))
+        assert len(few) == count and len(more) == count + 5
+        for a, b in zip(few, more):
+            for name in ("A", "b", "A1", "b1", "c", "d"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))

@@ -217,6 +217,42 @@ class TestIsPositiveDefinite:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionError):
             is_positive_definite(np.ones((2, 3)))
+        with pytest.raises(DimensionError):
+            is_positive_definite(np.ones((4, 2, 3)))
+
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        shape=st.sampled_from([(1,), (7,), (3, 4)]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40)
+    def test_stack_gives_each_matrix_its_own_verdict(self, n, shape, seed):
+        # definite, indefinite and semidefinite matrices of scales far
+        # apart share a stack; each is scaled by its own power of two
+        gen = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(gen.normal(size=(*shape, n, n)))
+        eigenvalues = gen.choice([-1.0, 0.0, 0.5, 2.0], size=(*shape, n), p=[0.2, 0.1, 0.35, 0.35])
+        scales = 10.0 ** gen.choice([-170, 0, 200], size=(*shape, 1, 1))
+        stack = scales * (q * eigenvalues[..., None, :]) @ np.swapaxes(q, -1, -2)
+        got = is_positive_definite(stack)
+        assert got.shape == shape and got.dtype == bool
+        for index in np.ndindex(*shape):
+            assert got[index] == is_positive_definite(stack[index])
+        # rounding moves no eigenvalue of magnitude 0.5 or more across 0
+        nonsingular = (eigenvalues != 0.0).all(axis=-1)
+        np.testing.assert_array_equal(got[nonsingular], (eigenvalues.min(axis=-1) > 0.0)[nonsingular])
+
+    def test_overflowing_lane_leaves_its_neighbours_alone(self):
+        # the first lane's Schur complement 1 - 1/5e-324 overflows to -inf;
+        # the other lanes keep their verdicts, and no warning is raised
+        stack = np.array([[[5e-324, 1.0], [1.0, 1.0]], [[2.0, 1.0], [1.0, 2.0]],
+                          [[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.5], [0.5, 1.0]]])
+        np.testing.assert_array_equal(is_positive_definite(stack), [False, True, False, True])
+
+    def test_matrix_gives_a_python_bool(self):
+        assert type(is_positive_definite(np.eye(2))) is bool
+        assert type(is_positive_definite(-np.eye(2))) is bool
+        assert type(is_positive_definite([[1.0]])) is bool
 
 
 class TestSingularValues:

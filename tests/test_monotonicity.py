@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,16 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasieq.monotonicity as monotonicity
+from quasieq import generator
 from quasieq.errors import DimensionError
 from quasieq.generator import GeneratorConfig, generate_instances
+from quasieq.linalg import frobenius_norm, is_positive_definite
 from quasieq.monotonicity import (
     DEFAULT_TOL,
     certainly_not_paramonotone,
     check_paramonotone,
     compute_a_hat,
     paramonotonicity_report,
+    screened_out,
 )
 from quasieq.oracles import AffineFractionalInstance
+from quasieq.rng import UniformStream
 from quasieq.sets import BoxSet
 
 
@@ -261,3 +266,17 @@ class TestScreen:
     def test_negated_identity_is_screened_out(self, negated_case, identity_case):
         assert certainly_not_paramonotone(negated_case) is True
         assert certainly_not_paramonotone(identity_case) is False
+
+    @pytest.mark.parametrize("n, seed", [(1, 5), (2, 7), (3, 12345)])
+    def test_stack_agrees_with_the_matrix_by_matrix_screen(self, n, seed):
+        # generator candidates, one stack, against the screen written one
+        # matrix at a time from compute_a_hat and the report's slack
+        count = 600
+        block = UniformStream(seed).uniforms(count * (2 * n * n + 3 * n + 1)).reshape(count, -1)
+        A, _, A1, b1, c, d = generator._fields(block, n)
+        got = screened_out(A, A1, b1, c, d)
+        assert got.shape == (count,) and 0 < got.sum() < count
+        for i in range(count):
+            a_hat = compute_a_hat(SimpleNamespace(A=A[i], A1=A1[i], b1=b1[i], c=c[i], d=d[i]))
+            shift = 2.0 * DEFAULT_TOL * max(1.0, frobenius_norm(a_hat))
+            assert got[i] == (not is_positive_definite(0.5 * (a_hat + a_hat.T) + shift * np.eye(n)))
