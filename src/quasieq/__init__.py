@@ -40,7 +40,6 @@ from .oracles import (
 )
 from .serialize import (
     parse_instance_file,
-    read_trace_csv,
     write_benchmark_csv,
     write_instance_file,
     write_trace_csv,
@@ -94,7 +93,6 @@ __all__ = [
     "numeric_rank",
     "paramonotonicity_report",
     "parse_instance_file",
-    "read_trace_csv",
     "response_objective",
     "run_benchmark",
     "singular_values",

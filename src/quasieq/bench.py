@@ -58,7 +58,8 @@ def run_benchmark(
     any solve.  ``config`` (default ``SolverConfig()``) supplies the
     variant, the step scale and the tolerances; tracing is disabled.  A
     solve that raises counts as a non-success in ``failures`` and never
-    aborts the sweep; the means are over the solves that returned.
+    aborts the sweep; the means are over the solves that returned, NaN
+    when none did.
     """
     configs = {n: GeneratorConfig(n=n, count=count, seed=seed) for n in sizes}
     if not configs:
@@ -89,8 +90,8 @@ def run_benchmark(
             n=n,
             n_prob=count,
             n_success=successes,
-            mean_time_seconds=math.fsum(times) / len(times) if times else 0.0,
-            mean_error=math.fsum(errors) / len(errors) if errors else 0.0,
+            mean_time_seconds=math.fsum(times) / len(times) if times else math.nan,
+            mean_error=math.fsum(errors) / len(errors) if errors else math.nan,
             failures=dict(failures),
         ))
     return BenchmarkReport(

@@ -63,11 +63,6 @@ def _fields(u, n: int) -> tuple:
             u[..., 2 * m + 2 * n:-1], u[..., -1][()])  # [()]: d of one is a scalar
 
 
-def _draw_instance(stream: UniformStream, n: int, box: BoxSet):
-    """One candidate from its own `uniforms` call: the block loop's reference."""
-    return AffineFractionalInstance(*_fields(stream.uniforms(2 * n * n + 3 * n + 1), n), box)
-
-
 def generate_instances(config: GeneratorConfig) -> list[AffineFractionalInstance]:
     """Draw config.count instances; deterministic for equal configs."""
     n = config.n

@@ -29,7 +29,8 @@ _MAX_SWEEPS = 60
 # relative off-diagonal threshold of the Jacobi sweeps and symmetry check
 _JACOBI_TOL = 1e-12
 # column count from which a Jacobi sweep rotates round-robin sets of
-# disjoint pairs together instead of one pair at a time
+# disjoint pairs together instead of one pair at a time; below it the
+# row-major sweep stays, as it keeps paramonotone_gen's n = 3 certificates fast
 _ROUND_ROBIN_COLUMNS = 10
 
 

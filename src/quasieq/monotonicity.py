@@ -10,9 +10,9 @@ comes from the singular values of A_hat.  The PSD slack is relative to
 ||A_hat||_F.
 
 `screened_out` is a cheap screen for rejection sampling: one LDL'
-factorization of a whole stack of candidates that can only say "not
-paramonotone"; `certainly_not_paramonotone` runs it on one instance.
-The report remains the only way to accept an instance.
+factorization per candidate, run on one instance's fields or on whole
+stacks at once, that can only say "not paramonotone".  The report
+remains the only way to accept an instance.
 """
 
 from __future__ import annotations
@@ -73,11 +73,6 @@ def screened_out(A, A1, b1, c, d) -> np.ndarray:
     norm = np.hypot.reduce(a_hat.reshape(*a_hat.shape[:-2], -1), axis=-1)
     shift = 2.0 * DEFAULT_TOL * np.maximum(1.0, norm)[..., None, None]
     return np.logical_not(is_positive_definite(sym + shift * np.eye(c.shape[-1])))
-
-
-def certainly_not_paramonotone(inst) -> bool:
-    """`screened_out` for one affine-fractional instance."""
-    return bool(screened_out(inst.A, inst.A1, inst.b1, inst.c, inst.d))
 
 
 def paramonotonicity_report(a_hat: np.ndarray,

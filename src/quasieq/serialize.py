@@ -108,26 +108,6 @@ def write_trace_csv(report, path) -> None:
             ])
 
 
-def read_trace_csv(path) -> list[dict]:
-    """Parse a trace CSV back into numeric rows (bit-exact round trip)."""
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != TRACE_HEADER:
-            raise InstanceFormatError(
-                f"unexpected trace header {reader.fieldnames}"
-            )
-        for row in reader:
-            rows.append({
-                "k": int(row["k"]),
-                "alpha": float(row["alpha"]),
-                "step_norm": float(row["step_norm"]),
-                "g_raw_norm": float(row["g_raw_norm"]),
-                "residual": None if row["residual"] == "" else float(row["residual"]),
-            })
-    return rows
-
-
 def write_benchmark_csv(report, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -108,8 +108,10 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
     box first.  Every completed projection step appends an
     IterationRecord; under ng2 the record also carries the residual
     -min_y f(x_k, y) evaluated at x_k before the step.  final_residual is
-    always the residual at x_final (for ng1 this costs one extra oracle
-    call at termination), and best_residual the least residual evaluated.
+    always the residual at x_final: when ng2 stops before stepping it is
+    the last probe's, otherwise (every ng1 stop, and ng2 at max_iter) it
+    is one oracle.residual(x_final) call.  best_residual is the least
+    residual evaluated.
     """
     box = oracle.box
     if not isinstance(feasible_set, BoxSet):
@@ -130,7 +132,6 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
 
     trace = deque(maxlen=config.trace_keep)
     best_residual = math.inf
-    final_residual: Optional[float] = None
 
     response = None  # ng2: the last best response, where the next probe starts
     start = time.perf_counter()
@@ -140,14 +141,12 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
             best_residual = min(best_residual, residual)
             if residual < config.tol_residual:
                 status = SolveStatus.RESIDUAL_BELOW_TOL
-                final_residual = residual
                 break
         else:
             g, residual = oracle.diagonal_subgradient(x), None
         g_raw_norm = math.sqrt(g @ g)
         if g_raw_norm <= TOL_ZERO_GRAD:
             status = SolveStatus.ZERO_GRADIENT
-            final_residual = residual
             break
 
         g_unit = g / g_raw_norm
@@ -163,9 +162,8 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
 
         if not step.any():
             status = SolveStatus.FIXED_POINT
-            final_residual = residual
             break
-        x = x_next
+        x, residual = x_next, None  # the probed residual was the old x's
         if not ng2 and step_norm < config.tol_step:
             status = SolveStatus.STEP_BELOW_TOL
             break
@@ -173,8 +171,7 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
         status = SolveStatus.MAX_ITER_REACHED
     elapsed = time.perf_counter() - start
 
-    if final_residual is None:
-        final_residual = oracle.residual(x)
+    final_residual = oracle.residual(x) if residual is None else residual
     best_residual = min(best_residual, final_residual)
 
     return SolveReport(

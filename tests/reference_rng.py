@@ -1,6 +1,8 @@
-"""Validation oracle for the uniform stream: the scalar xoshiro256** loop,
-one Python-int state update per output word.  No generation path calls
-this; the tests compare the lane generator in `quasieq.rng` against it."""
+"""Validation oracles for the uniform stream and the generator: the
+scalar xoshiro256** loop, one Python-int state update per output word,
+and one candidate instance per `uniforms` call.  No generation path calls
+these; the tests compare the lane generator in `quasieq.rng` and the
+block loop in `quasieq.generator` against them."""
 
 from __future__ import annotations
 
@@ -8,7 +10,10 @@ from array import array
 
 import numpy as np
 
-from quasieq.rng import splitmix64_next
+from quasieq.generator import _fields
+from quasieq.oracles import AffineFractionalInstance
+from quasieq.rng import UniformStream, splitmix64_next
+from quasieq.sets import BoxSet
 
 _MASK64 = (1 << 64) - 1
 
@@ -50,3 +55,8 @@ class ScalarUniformStream:
     def uniforms(self, count: int) -> np.ndarray:
         self.state, words = scalar_words(self.state, count)
         return (words >> 11) * 2.0**-53
+
+
+def _draw_instance(stream: UniformStream, n: int, box: BoxSet):
+    """One candidate from its own `uniforms` call: the block loop's reference."""
+    return AffineFractionalInstance(*_fields(stream.uniforms(2 * n * n + 3 * n + 1), n), box)

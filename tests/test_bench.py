@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -105,9 +107,12 @@ class TestAggregation:
         row = report.rows[0]
         assert row.n_prob == 3
         assert row.n_success == 0
-        assert row.mean_error == 0.0
+        assert math.isnan(row.mean_error)
+        assert math.isnan(row.mean_time_seconds)
         assert row.n_failed == 3
         assert row.failures == {"RuntimeError": 3}
+        # the table prints the undefined means as nan, not as a perfect 0
+        assert format_benchmark_table(report).splitlines()[-1].split()[-2:] == ["nan", "nan"]
 
 
 class TestReproducibility:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -19,7 +20,7 @@ from quasieq.cli import (
 from quasieq.generator import GeneratorConfig, generate_instances
 from quasieq.monotonicity import DEFAULT_TOL
 from quasieq.oracles import AffineFractionalInstance
-from quasieq.serialize import parse_instance_file, read_trace_csv, write_instance_file
+from quasieq.serialize import TRACE_HEADER, parse_instance_file, write_instance_file
 from quasieq.sets import BoxSet
 from quasieq.solver import SolverConfig
 
@@ -69,9 +70,12 @@ class TestSolve:
             "--trace", str(trace_path),
         ])
         assert code == EXIT_OK
-        rows = read_trace_csv(trace_path)
+        with open(trace_path, encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            assert tuple(reader.fieldnames) == TRACE_HEADER
+            rows = list(reader)
         assert rows  # the run from the center takes at least one step
-        assert rows[0]["k"] == 0
+        assert rows[0]["k"] == "0"
 
     def test_starved_run_exits_nonzero(self, e1_file, capsys):
         # one tiny step leaves a large residual, so the run fails

@@ -14,7 +14,6 @@ from quasieq.generator import GeneratorConfig, generate_instances
 from quasieq.linalg import frobenius_norm, is_positive_definite
 from quasieq.monotonicity import (
     DEFAULT_TOL,
-    certainly_not_paramonotone,
     check_paramonotone,
     compute_a_hat,
     paramonotonicity_report,
@@ -70,6 +69,11 @@ def _from_a_hat(a_hat):
     """An instance whose A_hat is a_hat: A1 = I, b1 = c = 0, d = 1."""
     n = len(a_hat)
     return _inst(a_hat, np.eye(n), np.zeros(n), np.zeros(n), 1.0, n=n)
+
+
+def _screened(inst) -> bool:
+    """The stacked screen on one instance's fields."""
+    return bool(screened_out(inst.A, inst.A1, inst.b1, inst.c, inst.d))
 
 
 @pytest.fixture
@@ -232,7 +236,7 @@ class TestReportConstruction:
 
 
 class TestScreen:
-    """certainly_not_paramonotone may only reject what the report rejects."""
+    """screened_out may only reject what the report rejects."""
 
     @given(
         n=st.integers(min_value=1, max_value=6),
@@ -252,7 +256,7 @@ class TestScreen:
         skew = raw - raw.T
         slack = DEFAULT_TOL * max(1.0, math.sqrt(np.sum(rest**2) + np.sum(skew**2)))
         a_hat = q @ np.diag([k * slack, *rest]) @ q.T + skew
-        screened = certainly_not_paramonotone(_from_a_hat(a_hat))
+        screened = _screened(_from_a_hat(a_hat))
         assert not (screened and paramonotonicity_report(a_hat).verdict)
         # S + 2 slack I has lambda_min = (k + 2) slack
         assert screened is (k < -2.0)
@@ -260,12 +264,12 @@ class TestScreen:
     @REPORT_CASES
     def test_report_construction_matrices_pass(self, matrix, rank_sym, rank_a_hat, verdict):
         # two of the three are rejected, by the ranks alone
-        assert certainly_not_paramonotone(_from_a_hat(np.array(matrix))) is False
+        assert _screened(_from_a_hat(np.array(matrix))) is False
         assert paramonotonicity_report(np.array(matrix)).verdict is verdict
 
     def test_negated_identity_is_screened_out(self, negated_case, identity_case):
-        assert certainly_not_paramonotone(negated_case) is True
-        assert certainly_not_paramonotone(identity_case) is False
+        assert _screened(negated_case) is True
+        assert _screened(identity_case) is False
 
     @pytest.mark.parametrize("n, seed", [(1, 5), (2, 7), (3, 12345)])
     def test_stack_agrees_with_the_matrix_by_matrix_screen(self, n, seed):

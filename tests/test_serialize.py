@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -14,7 +15,6 @@ from quasieq.serialize import (
     instance_to_dict,
     paramonotonicity_report_to_dict,
     parse_instance_file,
-    read_trace_csv,
     write_benchmark_csv,
     write_instance_file,
     write_trace_csv,
@@ -132,6 +132,15 @@ class TestInstanceJSON:
             instance_to_dict(inst)
 
 
+def _read_trace(path) -> list[dict]:
+    """A trace CSV's rows, read back with csv.DictReader and float."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert tuple(reader.fieldnames) == TRACE_HEADER
+        return [{name: None if value == "" else float(value) for name, value in row.items()}
+                for row in reader]
+
+
 class TestTraceCSV:
     def _report(self, t1, max_iter):
         cfg = SolverConfig(
@@ -154,7 +163,7 @@ class TestTraceCSV:
         report = self._report(t1, max_iter=7)
         path = tmp_path / "trace.csv"
         write_trace_csv(report, path)
-        rows = read_trace_csv(path)
+        rows = _read_trace(path)
         assert len(rows) == len(report.trace)
         for row, rec in zip(rows, report.trace):
             assert row["k"] == rec.k
@@ -170,7 +179,7 @@ class TestTraceCSV:
         )
         path = tmp_path / "trace.csv"
         write_trace_csv(report, path)
-        for row in read_trace_csv(path):
+        for row in _read_trace(path):
             assert row["residual"] is None
 
     def test_empty_trace_gives_header_only(self, t1, tmp_path):
@@ -181,12 +190,6 @@ class TestTraceCSV:
         path = tmp_path / "trace.csv"
         write_trace_csv(report, path)
         assert path.read_text().splitlines() == [",".join(TRACE_HEADER)]
-
-    def test_wrong_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(InstanceFormatError):
-            read_trace_csv(path)
 
 
 class TestBenchmarkCSV:

@@ -167,6 +167,71 @@ class TestToyProblem:
         np.testing.assert_array_equal(report.x_final, [2.0])
 
 
+def _recording(oracle):
+    """oracle with the residual of every probe and every residual(x)
+    call recorded, as probed and calls."""
+    probed, calls = [], []
+
+    def probe(x, start=None):
+        g, residual, response = oracle.probe(x, start)
+        probed.append(residual)
+        return g, residual, response
+
+    def residual(x):
+        calls.append((x.copy(), oracle.residual(x)))
+        return calls[-1][1]
+
+    return SimpleNamespace(box=oracle.box, diagonal_subgradient=oracle.diagonal_subgradient,
+                           probe=probe, residual=residual, probed=probed, calls=calls)
+
+
+def _fake_probe(box, g, residual):
+    """An oracle whose every probe returns (g, residual, box.lo)."""
+    return SimpleNamespace(box=box, diagonal_subgradient=None,
+                           probe=lambda x, start=None: (np.array(g), residual, box.lo),
+                           residual=lambda x: 1e3)
+
+
+class TestFinalResidual:
+    """final_residual is the last probe's when ng2 stops before stepping,
+    else one oracle.residual(x_final) call; best_residual the least of
+    every residual evaluated."""
+
+    @pytest.mark.parametrize("variant, make_oracle, options, x0, status", [
+        ("ng1", lambda t1: AffineFractionalOracle(t1), {"scale": 1.0}, 1.0,
+         SolveStatus.ZERO_GRADIENT),
+        # F(x) = 1 pushes x = 1 out of [1, 3]
+        ("ng1", lambda t1: AffineFractionalOracle(affine_vi_instance([[0.0]], [1.0], t1.box)),
+         {"scale": 1.0}, 1.0, SolveStatus.FIXED_POINT),
+        ("ng1", lambda t1: AffineFractionalOracle(t1), {"scale": 1e-5}, 1.0,
+         SolveStatus.STEP_BELOW_TOL),
+        ("ng1", lambda t1: AffineFractionalOracle(t1), {"scale": 0.6, "max_iter": 2}, 1.0,
+         SolveStatus.MAX_ITER_REACHED),
+        ("ng2", lambda t1: AffineFractionalOracle(t1), {"scale": 1.0}, 1.0,
+         SolveStatus.RESIDUAL_BELOW_TOL),
+        ("ng2", lambda t1: AffineFractionalOracle(t1), {"scale": 0.6, "max_iter": 2}, 1.0,
+         SolveStatus.MAX_ITER_REACHED),
+        ("ng2", lambda t1: _fake_probe(t1.box, [0.0], 0.5), {}, 2.0,
+         SolveStatus.ZERO_GRADIENT),
+        ("ng2", lambda t1: _fake_probe(t1.box, [1.0], 0.5), {}, 1.0,
+         SolveStatus.FIXED_POINT),
+    ], ids=["ng1-zero-gradient", "ng1-fixed-point", "ng1-step-below-tol", "ng1-max-iter",
+            "ng2-residual-below-tol", "ng2-max-iter", "ng2-zero-gradient", "ng2-fixed-point"])
+    def test_every_stop(self, t1, variant, make_oracle, options, x0, status):
+        oracle = _recording(make_oracle(t1))
+        config = SolverConfig(variant=variant, **options)
+        report = normal_subgradient_solve(oracle, t1.box, config, x0=np.array([x0]))
+        assert report.status is status
+        if variant == "ng2" and status is not SolveStatus.MAX_ITER_REACHED:
+            assert oracle.calls == []  # stopped before stepping
+            assert report.final_residual == oracle.probed[-1]
+        else:
+            [(x, value)] = oracle.calls
+            assert x.tobytes() == report.x_final.tobytes()
+            assert report.final_residual == value
+        assert report.best_residual == min([*oracle.probed, report.final_residual])
+
+
 class TestSolverGuards:
     def test_dimension_mismatch(self, e1):
         box2 = BoxSet.uniform(2, 1.0, 3.0)
