@@ -69,18 +69,17 @@ def generate_instances(config: GeneratorConfig) -> list[AffineFractionalInstance
     stream = UniformStream(config.seed)
     box = BoxSet.uniform(n, config.box_low, config.box_high)
     per_draw, require = 2 * n * n + 3 * n + 1, config.require_paramonotone
-    k = max(1, _MIN_LANES * _LANE // per_draw) if require else 1  # one refill's worth
+    # k = 1 for plain draws: refill-sized blocks overdraw (n = 20, count = 19: 3 refills, not 2)
+    k = max(1, _MIN_LANES * _LANE // per_draw) if require else 1
     instances: list[AffineFractionalInstance] = []
     rejections = 0
     while True:
-        block = stream.uniforms(k * per_draw).reshape(k, per_draw)
-        screened = [False] * k
-        if require:
-            A, _, A1, b1, c, d = _fields(block, n)
-            screened = screened_out(A, A1, b1, c, d)
-        for u, out in zip(block, screened):
+        fields = _fields(stream.uniforms(k * per_draw).reshape(k, per_draw), n)
+        A, _, A1, b1, c, d = fields
+        screened = screened_out(A, A1, b1, c, d) if require else [False] * k
+        for i, out in enumerate(screened):  # only a candidate the screen leaves is sliced
             try:
-                inst = None if out else AffineFractionalInstance(*_fields(u, n), box)
+                inst = None if out else AffineFractionalInstance(*(f[i] for f in fields), box)
             except DomainError:
                 inst = None  # nonpositive denominator over the box
             if inst is not None and require and not check_paramonotone(inst).verdict:

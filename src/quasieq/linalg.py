@@ -4,13 +4,14 @@ rank, and singular values and symmetric eigenvalues from one one-sided
 1992).  Every number taken in passes `is_real`, every count `is_integer`;
 the `as_*` coercions raise InputError naming the argument as its field.
 
-Vectors and matrices are plain float64 numpy arrays.  Inputs are scaled
-by a power of two, which is exact, so the sweeps neither overflow nor
-underflow.  The sweep order depends only on the column count, so
-results are bit-reproducible across runs: below _ROUND_ROBIN_COLUMNS
-columns a sweep rotates one pair at a time, row-major over the upper
-triangle; from there on it is round-robin (Brent & Luk 1985), each
-round rotating n/2 disjoint pairs in one numpy step.  Positive
+Vectors and matrices are plain float64 numpy arrays.  Each matrix routine
+divides its input once by a power of two per matrix, which is exact, and
+scales its result back; the Jacobi kernel does no scaling.  So only a
+result past the float range overflows.  The sweep order depends only on
+the column count, so results are bit-reproducible across runs: below
+_ROUND_ROBIN_COLUMNS columns a sweep rotates one pair at a time, row-major
+over the upper triangle; from there on it is round-robin (Brent & Luk
+1985), each round rotating n/2 disjoint pairs in one numpy step.  Positive
 definiteness is decided apart from the spectra, by an LDL' factorization
 that stops once no matrix of its stack has only positive pivots.
 """
@@ -90,16 +91,17 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return _as_real_array(m, name, 2)
 
 
-def _power_of_two_near_max(a: np.ndarray) -> float:
-    """2**e with max |a| in [2**e, 2**(e+1)), so dividing by it is exact."""
-    peak = float(np.max(np.abs(a), initial=0.0))
-    return math.ldexp(1.0, math.frexp(peak)[1] - 1)
+def _power_of_two_near_max(a: np.ndarray) -> np.ndarray:
+    """2**e per matrix of a (..., m, n) stack, with max |a| in [2**e, 2**(e+1))."""
+    peak = np.max(np.abs(a), axis=(-2, -1), initial=0.0)
+    return np.ldexp(1.0, np.frexp(peak)[1] - 1)
 
 
-def frobenius_norm(m: np.ndarray) -> float:
+def frobenius_norm(m) -> float | np.ndarray:
+    """||m||_F of a matrix, or per matrix of a (..., m, n) stack."""
     a = np.asarray(m, dtype=float)
     scale = _power_of_two_near_max(a)
-    return scale * float(np.sqrt(np.sum((a / scale) ** 2)))
+    return scale * np.sqrt(np.sum((a / scale[..., None, None]) ** 2, axis=(-2, -1)))
 
 
 def _row_major_sweep(cols: np.ndarray) -> bool:
@@ -174,9 +176,8 @@ def _jacobi_column_norms(a: np.ndarray) -> np.ndarray:
     column pairs leave every pair with
     |<a_p, a_q>| <= _JACOBI_TOL ||a_p|| ||a_q||.  Sweeps are row-major
     below _ROUND_ROBIN_COLUMNS columns and round-robin from there on,
-    with a zero column added when the count is odd."""
-    scale = _power_of_two_near_max(a)
-    cols = np.ascontiguousarray(a.T) / scale  # row p is column p
+    with a zero column added when the count is odd.  The caller scales a."""
+    cols = np.array(a.T, order="C")  # row p is column p, in a C-ordered copy
     n = cols.shape[0]
     sweep = _row_major_sweep
     if n >= _ROUND_ROBIN_COLUMNS:
@@ -185,7 +186,7 @@ def _jacobi_column_norms(a: np.ndarray) -> np.ndarray:
     for _ in range(_MAX_SWEEPS):
         if not sweep(cols):
             cols = cols[:n]
-            return scale * np.sqrt(np.einsum("ij,ij->i", cols, cols))
+            return np.sqrt(np.einsum("ij,ij->i", cols, cols))
     raise ConvergenceError(f"Jacobi columns not orthogonal after {_MAX_SWEEPS} sweeps")
 
 
@@ -197,11 +198,13 @@ def symmetric_eigenvalues(m) -> np.ndarray:
     n, ncols = a.shape
     if n != ncols:
         raise DimensionError(f"matrix must be square, got {a.shape}")
+    scale = float(_power_of_two_near_max(a))  # a float, so 1 / scale may be inf
+    a = a / scale
     shift = frobenius_norm(a)
-    if np.max(np.abs(a - a.T), initial=0.0) > _JACOBI_TOL * max(1.0, shift):
+    if np.max(np.abs(a - a.T), initial=0.0) > _JACOBI_TOL * max(1.0 / scale, shift):
         raise ValueError("matrix is not symmetric within tolerance")
     a = 0.5 * (a + a.T)  # kill representation round-off before sweeping
-    return np.sort(_jacobi_column_norms(a + shift * np.eye(n))) - shift
+    return scale * (np.sort(_jacobi_column_norms(a + shift * np.eye(n))) - shift)
 
 
 def is_positive_definite(m) -> bool | np.ndarray:
@@ -210,14 +213,13 @@ def is_positive_definite(m) -> bool | np.ndarray:
     once a pivot is not positive.  Only the lower triangle is read.  A
     2-D m gives a bool; an ndarray stack of shape (..., n, n) gives a
     boolean array of shape (...), one verdict per matrix, all factored
-    together.  Each matrix is scaled by a power of two first; with no
-    square root and no LAPACK call the answer is bit-reproducible."""
+    together.  With no square root and no LAPACK call the answer is
+    bit-reproducible."""
     a = _as_real_array(m, "m", max(2, getattr(m, "ndim", 2)))
     n = a.shape[-1]
     if a.shape[-2] != n:
         raise DimensionError(f"matrix must be square, got {a.shape}")
-    peak = np.max(np.abs(a), axis=(-2, -1), initial=0.0, keepdims=True)
-    a = a / np.ldexp(1.0, np.frexp(peak)[1] - 1)  # a copy, updated in place below
+    a = a / _power_of_two_near_max(a)[..., None, None]  # a copy, updated in place below
     positive = np.ones(a.shape[:-2], dtype=bool)
     # past a tiny pivot of an indefinite matrix the trailing block may
     # overflow; its diagonal then is -inf or nan, which is not positive,
@@ -239,7 +241,8 @@ def singular_values(m) -> np.ndarray:
     a = as_matrix(m, "m")
     if a.shape[0] < a.shape[1]:
         a = a.T
-    return np.sort(_jacobi_column_norms(a))[::-1]
+    scale = _power_of_two_near_max(a)
+    return scale * np.sort(_jacobi_column_norms(a / scale))[::-1]
 
 
 def numeric_rank(values, tol: float) -> int:

@@ -7,7 +7,7 @@ rank(S) = rank(A_hat) (Iusem 1998).  Both conditions are decided from
 two Jacobi decompositions: the eigenvalues of S give its smallest
 eigenvalue and, as |eig(S)| are its singular values, rank(S); rank(A_hat)
 comes from the singular values of A_hat.  The PSD slack is relative to
-||A_hat||_F.
+||A_hat||_F from `frobenius_norm`, in the report and the screen alike.
 
 `screened_out` is a cheap screen for rejection sampling: one LDL'
 factorization per candidate, run on one instance's fields or on whole
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, InputError
 from .linalg import (
     as_matrix,
     frobenius_norm,
@@ -68,10 +68,8 @@ def screened_out(A, A1, b1, c, d) -> np.ndarray:
     """
     d = np.asarray(d)[..., None, None]
     a_hat = (d * np.swapaxes(A1, -1, -2) - c[..., :, None] * b1[..., None, :]) @ A
-    sym = 0.5 * (a_hat + np.swapaxes(a_hat, -1, -2))
-    # ||A_hat||_F by hypot, which does not overflow where the squares would
-    norm = np.hypot.reduce(a_hat.reshape(*a_hat.shape[:-2], -1), axis=-1)
-    shift = 2.0 * DEFAULT_TOL * np.maximum(1.0, norm)[..., None, None]
+    sym = 0.5 * a_hat + 0.5 * np.swapaxes(a_hat, -1, -2)
+    shift = 2.0 * DEFAULT_TOL * np.maximum(1.0, frobenius_norm(a_hat))[..., None, None]
     return np.logical_not(is_positive_definite(sym + shift * np.eye(c.shape[-1])))
 
 
@@ -83,8 +81,10 @@ def paramonotonicity_report(a_hat: np.ndarray,
     a_hat = as_matrix(a_hat, "a_hat")
     if a_hat.shape[0] != a_hat.shape[1] or a_hat.size == 0:
         raise DimensionError(f"a_hat must be square and nonempty, got shape {a_hat.shape}")
-    sym = 0.5 * (a_hat + a_hat.T)
-    slack = tol * max(1.0, frobenius_norm(a_hat))  # the absolute PSD slack
+    sym = 0.5 * a_hat + 0.5 * a_hat.T  # halved first, so no sum overflows
+    slack = float(tol * max(1.0, frobenius_norm(a_hat)))  # the absolute PSD slack
+    if slack == np.inf:  # past the float range, where any S would pass as PSD
+        raise InputError("tol * ||a_hat||_F is beyond the float range", field="a_hat")
     eig = symmetric_eigenvalues(sym)
     min_eig = float(eig[0])
     rank_sym = numeric_rank(np.abs(eig), tol)

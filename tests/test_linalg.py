@@ -298,8 +298,33 @@ class TestSingularValues:
 
 
 class TestExtremeScale:
-    """Entries far from 1: the Jacobi kernel works on the matrix divided
-    by a power of two, so nothing overflows or underflows."""
+    """Entries far from 1: each matrix routine divides its input once by a
+    power of two, so nothing overflows or underflows."""
+
+    def test_entries_near_the_float_limit(self):
+        # m + m' and m + ||m||_F I overflow unless m is scaled first
+        assert symmetric_eigenvalues([[1e308]]).tolist() == [1e308]
+        vals = symmetric_eigenvalues([[0.0, 1e308], [1e308, 0.0]])
+        np.testing.assert_allclose(vals, [-1e308, 1e308], rtol=1e-15)
+
+    def test_frobenius_norm_per_matrix_of_a_stack(self, rng):
+        stack = np.stack([factor * rng.normal(size=(3, 3)) for factor in (1e-300, 1.0, 1e300)]
+                         + [np.zeros((3, 3))])
+        norms = frobenius_norm(stack)
+        assert norms.shape == (4,)
+        assert norms.tobytes() == np.array([frobenius_norm(m) for m in stack]).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 12], ids=["row-major", "round-robin"])
+    def test_power_of_two_equivariance(self, n, rng):
+        # bit for bit: the routines scale, not the kernel, so the kernel
+        # sees the same matrix whatever power of two multiplies m
+        raw = rng.normal(size=(n, n))
+        sym = raw + raw.T
+        for k in (-600, -7, 9, 600):
+            f = 2.0**k
+            assert singular_values(f * raw).tobytes() == (f * singular_values(raw)).tobytes()
+            assert (symmetric_eigenvalues(f * sym).tobytes()
+                    == (f * symmetric_eigenvalues(sym)).tobytes())
 
     def test_huge_eigenvalues(self):
         vals = symmetric_eigenvalues(np.array([[0.0, 1e200], [1e200, 0.0]]))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import quasieq.monotonicity as monotonicity
 from quasieq import generator
-from quasieq.errors import DimensionError
+from quasieq.errors import DimensionError, InputError
 from quasieq.generator import GeneratorConfig, generate_instances
 from quasieq.linalg import frobenius_norm, is_positive_definite
 from quasieq.monotonicity import (
@@ -211,6 +211,23 @@ class TestReportConstruction:
     def test_rejects_a_hat_that_is_not_square(self, matrix):
         with pytest.raises(DimensionError, match="a_hat"):
             paramonotonicity_report(matrix)
+
+    def test_python_types(self, identity_case):
+        # a numpy tol would make min_eigenvalue >= -tol, and so the verdict, a numpy bool
+        for report in (check_paramonotone(identity_case), paramonotonicity_report([[2.0]])):
+            assert type(report.tol) is float
+            assert type(report.verdict) is bool
+
+    def test_entries_near_the_float_limit(self):
+        # A_hat + A_hat' overflows; A_hat/2 + A_hat'/2 does not
+        report = paramonotonicity_report([[1.5e308]])
+        assert report.verdict is True
+        assert report.min_eigenvalue == 1.5e308
+        assert report.tol == pytest.approx(1.5e300, rel=1e-15)
+        assert _screened(_from_a_hat([[1.5e308]])) is False
+        # S = -1e308 I is not PSD, but a slack of inf would let it pass
+        with np.errstate(over="ignore"), pytest.raises(InputError, match="float range"):
+            paramonotonicity_report([[-1e308, 1e308], [-1e308, -1e308]])
 
     def test_rejects_zero_dimensional_instance(self):
         empty = AffineFractionalInstance(A=np.zeros((0, 0)), b=[], A1=np.zeros((0, 0)),
