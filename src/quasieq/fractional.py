@@ -5,6 +5,9 @@ by repeatedly minimizing the parametric linear function (p - alpha c)'y
 over the box, which has a closed-form vertex solution, and updating
 alpha to the ratio at the minimizer.  It stops as soon as the ratio
 stops falling, which takes at most n + 2 rounds and needs no tolerance.
+Inside the package the response objective runs on plain arrays; only the
+public evaluators build a checked FractionalObjective, which rejects a
+response that overflowed.
 """
 
 from __future__ import annotations
@@ -30,36 +33,28 @@ class FractionalObjective:
     d: float
 
     def __post_init__(self):
-        p = as_vector(self.p, "p")
-        c = as_vector(self.c, "c")
-        if p.shape != c.shape:
+        for name, coerce in (("p", as_vector), ("c", as_vector), ("q", as_real), ("d", as_real)):
+            object.__setattr__(self, name, coerce(getattr(self, name), name))
+        if self.p.shape != self.c.shape:
             raise DimensionError("p and c must have the same dimension")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "q", as_real(self.q, "q"))
-        object.__setattr__(self, "d", as_real(self.d, "d"))
-
-    @classmethod
-    def _unchecked(cls, p: np.ndarray, q: float, c: np.ndarray, d: float):
-        """Build from coefficients the package computed out of validated
-        data, skipping the checks in __post_init__."""
-        obj = object.__new__(cls)
-        obj.__dict__.update(p=p, q=q, c=c, d=d)
-        return obj
 
     def ratio(self, y: np.ndarray) -> float:
-        """Value at a finite float vector y of the objective's dimension;
-        only the sign of the denominator is checked."""
-        den = float(self.c @ y) + self.d
-        if den <= 0.0:
-            raise DomainError(f"denominator {den:g} is not positive at y={y}")
-        return (float(self.p @ y) + self.q) / den
+        """Value at a float vector y of its dimension; only the denominator's sign is checked."""
+        return _ratio(self.p, self.q, self.c, self.d, y)
 
     def __call__(self, y) -> float:
         y = as_vector(y, "y")
         if y.size != self.p.size:
             raise DimensionError(f"y has dimension {y.size}, objective has {self.p.size}")
         return self.ratio(y)
+
+
+def _ratio(p: np.ndarray, q: float, c: np.ndarray, d: float, y: np.ndarray) -> float:
+    """(p'y + q)/(c'y + d), unchecked but for the sign of the denominator."""
+    den = float(c @ y) + d
+    if den <= 0.0:
+        raise DomainError(f"denominator {den:g} is not positive at y={y}")
+    return (float(p @ y) + q) / den
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,15 +96,16 @@ def dinkelbach_minimize(obj: FractionalObjective, box: BoxSet) -> DinkelbachResu
     if obj.p.size != box.dim:
         raise DimensionError(f"objective has dimension {obj.p.size}, box has {box.dim}")
     _check_denominator(obj.c, obj.d, box)
-    return _dinkelbach(obj, box, _minimizing_vertex(obj.p, box))
+    return _dinkelbach(obj.p, obj.q, obj.c, obj.d, box, _minimizing_vertex(obj.p, box))
 
 
-def _dinkelbach(obj: FractionalObjective, box: BoxSet, y: np.ndarray) -> DinkelbachResult:
+def _dinkelbach(p: np.ndarray, q: float, c: np.ndarray, d: float, box: BoxSet,
+                y: np.ndarray) -> DinkelbachResult:
     """dinkelbach_minimize's rounds, unchecked, from any y in the box (n + 2 at most)."""
-    alpha = obj.ratio(y)
+    alpha = _ratio(p, q, c, d, y)
     for iteration in itertools.count(1):
-        y_next = _minimizing_vertex(obj.p - alpha * obj.c, box)
-        alpha_next = obj.ratio(y_next)
+        y_next = _minimizing_vertex(p - alpha * c, box)
+        alpha_next = _ratio(p, q, c, d, y_next)
         if not alpha_next < alpha:
             return DinkelbachResult(y, alpha, iteration)
         y, alpha = y_next, alpha_next
@@ -119,14 +115,16 @@ def response_objective(inst, x) -> FractionalObjective:
     """Fractional objective phi_x(y) = (p'y + q)/(c'y + d) of an
     affine-fractional instance at the point x, with p = A1'(Ax + b) and
     q = b1'(Ax + b), so that f(x, y) = phi_x(y) - phi_x(x)."""
-    return _response_objective(inst, as_vector(x, "x"))
+    u = inst.A @ as_vector(x, "x") + inst.b
+    return FractionalObjective(inst.A1.T @ u, float(inst.b1 @ u), inst.c, inst.d)
 
 
-def _response_objective(inst, x: np.ndarray) -> FractionalObjective:
-    """response_objective for an x the caller has already validated."""
+def _response(inst, x: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(p, q, phi_x(x)) of response_objective, unchecked, for an x the
+    caller has already validated."""
     u = inst.A @ x + inst.b
-    return FractionalObjective._unchecked(inst.A1.T @ u, float(inst.b1 @ u),
-                                          inst.c, inst.d)
+    p, q = inst.A1.T @ u, float(inst.b1 @ u)
+    return p, q, _ratio(p, q, inst.c, inst.d, x)
 
 
 def best_response_residual(inst, x) -> tuple[np.ndarray, float]:
@@ -137,7 +135,6 @@ def best_response_residual(inst, x) -> tuple[np.ndarray, float]:
     feasible) and equals zero exactly when x solves the equilibrium
     problem.
     """
-    x = as_vector(x, "x")
-    obj = _response_objective(inst, x)
-    result = dinkelbach_minimize(obj, inst.box)
-    return result.y, obj.ratio(x) - result.value
+    p, q, phi = _response(inst, as_vector(x, "x"))
+    result = dinkelbach_minimize(FractionalObjective(p, q, inst.c, inst.d), inst.box)
+    return result.y, phi - result.value

@@ -56,11 +56,11 @@ class GeneratorConfig:
 
 
 def _fields(u, n: int) -> tuple:
-    """(A, b, A1, b1, c, d) sliced from the last axis of u, in draw order."""
+    """(A, b, A1, b1, c, d) of each row of a block u of draws, sliced in draw order."""
     m, matrix = n * n, (*u.shape[:-1], n, n)
     return (u[..., :m].reshape(matrix), u[..., m:m + n],
             u[..., m + n:2 * m + n].reshape(matrix), u[..., 2 * m + n:2 * m + 2 * n],
-            u[..., 2 * m + 2 * n:-1], u[..., -1][()])  # [()]: d of one is a scalar
+            u[..., 2 * m + 2 * n:-1], u[..., -1])
 
 
 def generate_instances(config: GeneratorConfig) -> list[AffineFractionalInstance]:

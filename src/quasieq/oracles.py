@@ -19,8 +19,8 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .errors import DimensionError
-from .fractional import (_check_denominator, _dinkelbach, _minimizing_vertex,
-                         _response_objective, best_response_residual)
+from .fractional import (FractionalObjective, _check_denominator, _dinkelbach,
+                         _minimizing_vertex, _response, best_response_residual)
 from .linalg import as_matrix, as_real, as_vector
 from .sets import BoxSet
 
@@ -90,18 +90,16 @@ def affine_vi_instance(M, r, box: BoxSet) -> AffineFractionalInstance:
 def fractional_value(inst: AffineFractionalInstance, x, y) -> float:
     """f(x, y) = phi_x(y) - phi_x(x) for the affine-fractional bifunction,
     with phi_x the response objective at x; f(x, x) = 0."""
-    x = as_vector(x, "x")
-    obj = _response_objective(inst, x)
-    return obj(y) - obj.ratio(x)
+    p, q, phi = _response(inst, as_vector(x, "x"))
+    return FractionalObjective(p, q, inst.c, inst.d)(y) - phi
 
 
 def fractional_diagonal_subgradient(inst: AffineFractionalInstance, x) -> np.ndarray:
     """Unnormalized diagonal GP-subgradient g = p - phi_x(x) c of f(x, .)
     at x, from the response objective phi_x = (p'y + q)/(c'y + d).  The
     solver normalizes nonzero g."""
-    x = as_vector(x, "x")
-    obj = _response_objective(inst, x)
-    return obj.p - obj.ratio(x) * obj.c
+    p, _, phi = _response(inst, as_vector(x, "x"))
+    return p - phi * inst.c
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,8 +122,8 @@ class AffineFractionalOracle:
 
     def probe(self, x, start=None) -> tuple[np.ndarray, float, np.ndarray]:
         """(g, residual, y*) at x from one response objective."""
-        x, box = as_vector(x, "x"), self.instance.box
-        obj = _response_objective(self.instance, x)
-        phi = obj.ratio(x)
-        result = _dinkelbach(obj, box, _minimizing_vertex(obj.p, box) if start is None else start)
-        return obj.p - phi * obj.c, phi - result.value + 0.0, result.y
+        inst = self.instance
+        p, q, phi = _response(inst, as_vector(x, "x"))
+        start = _minimizing_vertex(p, inst.box) if start is None else start
+        result = _dinkelbach(p, q, inst.c, inst.d, inst.box, start)
+        return p - phi * inst.c, phi - result.value + 0.0, result.y

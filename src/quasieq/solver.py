@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, DomainError
 from .linalg import as_vector, is_integer, is_real
 from .sets import BoxSet
 
@@ -111,7 +111,8 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
     always the residual at x_final: when ng2 stops before stepping it is
     the last probe's, otherwise (every ng1 stop, and ng2 at max_iter) it
     is one oracle.residual(x_final) call.  best_residual is the least
-    residual evaluated.
+    residual evaluated.  A subgradient norm or ng2 residual that is not
+    finite raises DomainError naming the iteration.
     """
     box = oracle.box
     if not isinstance(feasible_set, BoxSet):
@@ -138,6 +139,8 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
     for k in range(config.max_iter):
         if ng2:
             g, residual, response = oracle.probe(x, response)
+            if not math.isfinite(residual):
+                raise DomainError(f"residual {residual:g} is not finite at iterate {k}")
             best_residual = min(best_residual, residual)
             if residual < config.tol_residual:
                 status = SolveStatus.RESIDUAL_BELOW_TOL
@@ -145,6 +148,8 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
         else:
             g, residual = oracle.diagonal_subgradient(x), None
         g_raw_norm = math.sqrt(g @ g)
+        if not math.isfinite(g_raw_norm):
+            raise DomainError(f"subgradient norm {g_raw_norm:g} is not finite at iterate {k}")
         if g_raw_norm <= TOL_ZERO_GRAD:
             status = SolveStatus.ZERO_GRADIENT
             break

@@ -59,4 +59,5 @@ class ScalarUniformStream:
 
 def _draw_instance(stream: UniformStream, n: int, box: BoxSet):
     """One candidate from its own `uniforms` call: the block loop's reference."""
-    return AffineFractionalInstance(*_fields(stream.uniforms(2 * n * n + 3 * n + 1), n), box)
+    fields = _fields(stream.uniforms(2 * n * n + 3 * n + 1)[None], n)  # a one-row block
+    return AffineFractionalInstance(*(f[0] for f in fields), box)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasieq import fractional
 from quasieq.cli import main
-from quasieq.errors import DimensionError, DomainError
+from quasieq.errors import DimensionError, DomainError, InputError
 from quasieq.fractional import (
     FractionalObjective,
     _dinkelbach,
@@ -17,7 +18,7 @@ from quasieq.fractional import (
     response_objective,
 )
 from quasieq.generator import GeneratorConfig, generate_instances
-from quasieq.oracles import AffineFractionalInstance, affine_vi_instance
+from quasieq.oracles import AffineFractionalInstance, affine_vi_instance, fractional_value
 from quasieq.serialize import parse_instance_file
 from quasieq.sets import BoxSet
 from reference_minimizers import (
@@ -43,12 +44,15 @@ def _recorded_ratios(obj, box):
     """dinkelbach_minimize's result and every ratio it computed, in order."""
     ratios = []
 
-    class Recording(FractionalObjective):
-        def ratio(self, y):
-            ratios.append(super().ratio(y))
-            return ratios[-1]
+    def recording(*args):
+        ratios.append(ratio(*args))
+        return ratios[-1]
 
-    res = dinkelbach_minimize(Recording(p=obj.p, q=obj.q, c=obj.c, d=obj.d), box)
+    ratio, fractional._ratio = fractional._ratio, recording
+    try:
+        res = dinkelbach_minimize(obj, box)
+    finally:
+        fractional._ratio = ratio
     return res, ratios
 
 
@@ -281,6 +285,21 @@ class TestExactStoppingRule:
         assert code == (0 if final_residual < 1e-1 else 1)
 
 
+class TestOverflowedResponse:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns of the overflow
+    def test_checked_paths_reject_it(self):
+        # Ax + b overflows at every x of the box, so p = A1'(Ax + b) is not finite
+        inst = AffineFractionalInstance(A=np.full((2, 2), 1e308), b=np.ones(2), A1=np.eye(2),
+                                        b1=np.ones(2), c=np.zeros(2), d=1.0,
+                                        box=BoxSet.uniform(2, 1.0, 3.0))
+        x = inst.box.center
+        for evaluate in (best_response_residual, response_objective,
+                         lambda inst, x: fractional_value(inst, x, x)):
+            with pytest.raises(InputError, match="p contains non-finite entries") as info:
+                evaluate(inst, x)
+            assert info.value.field == "p"
+
+
 class TestWarmStart:
     """The solver's probe starts Dinkelbach at the previous best response
     instead of the vertex minimizing p'y; from any vertex of the box the
@@ -297,7 +316,7 @@ class TestWarmStart:
             cold = dinkelbach_minimize(obj, box).value
             chain = chain_minimize(obj, box)[1]
             for corner in itertools.product(*zip(box.lo, box.hi)):
-                warm = _dinkelbach(obj, box, np.array(corner))
+                warm = _dinkelbach(obj.p, obj.q, obj.c, obj.d, box, np.array(corner))
                 assert warm.value == pytest.approx(cold, rel=1e-12, abs=0.0)
                 assert warm.value == pytest.approx(chain, rel=1e-12, abs=0.0)
                 assert obj.ratio(warm.y) == warm.value

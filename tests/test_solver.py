@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from quasieq import oracles
-from quasieq.errors import ConfigurationError, DimensionError
+from quasieq.errors import ConfigurationError, DimensionError, DomainError
 from quasieq.fractional import best_response_residual
 from quasieq.generator import GeneratorConfig, generate_instances
-from quasieq.oracles import AffineFractionalOracle, affine_vi_instance
+from quasieq.oracles import (AffineFractionalInstance, AffineFractionalOracle,
+                             affine_vi_instance)
 from quasieq.sets import BoxSet
 from quasieq.solver import (
     IterationRecord,
@@ -261,6 +262,20 @@ class TestSolverGuards:
 
         with pytest.raises(ConfigurationError):
             normal_subgradient_solve(AffineFractionalOracle(e1), ClipSet(), SolverConfig())
+
+    # A = 1e308: Ax + b overflows, so p, g and the residual are NaN.
+    # A = 1e155, A1 = 1e5 I: g = (4e160, 4e160) is finite, but g'g overflows.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns of the overflow
+    @pytest.mark.parametrize("variant", ["ng1", "ng2"])
+    @pytest.mark.parametrize("a, b, a1", [(1e308, 1.0, 1.0), (1e155, 0.0, 1e5)],
+                             ids=["nan-iterate", "norm-overflow"])
+    def test_non_finite_subgradient_or_residual_raises(self, variant, a, b, a1):
+        inst = AffineFractionalInstance(A=np.full((2, 2), a), b=np.full(2, b), A1=a1 * np.eye(2),
+                                        b1=np.full(2, b), c=np.zeros(2), d=1.0,
+                                        box=BoxSet.uniform(2, 1.0, 3.0))
+        with pytest.raises(DomainError, match="is not finite at iterate 0"):
+            normal_subgradient_solve(AffineFractionalOracle(inst), inst.box,
+                                     SolverConfig(variant=variant))
 
     def test_equal_box_built_separately(self):
         inst = generate_instances(GeneratorConfig(n=5, count=1, seed=12345))[0]
