@@ -4,10 +4,12 @@ The bifunction with data (A, b, A1, b1, c, d) is paramonotone exactly
 when, for A_hat = (d A1' - c b1') A, the symmetric part
 S = (A_hat + A_hat')/2 is positive semidefinite and
 rank(S) = rank(A_hat) (Iusem 1998).  Both conditions are decided from
-two Jacobi decompositions: the eigenvalues of S give its smallest
-eigenvalue and, as |eig(S)| are its singular values, rank(S); rank(A_hat)
-comes from the singular values of A_hat.  The PSD slack is relative to
-||A_hat||_F from `frobenius_norm`, in the report and the screen alike.
+two spectra that numpy's LAPACK routines compute: the eigenvalues of S
+give its smallest eigenvalue and, as |eig(S)| are its singular values,
+rank(S); rank(A_hat) comes from the singular values of A_hat.  Both are
+backward stable, so they are off by O(u ||A_hat||), u the unit roundoff,
+far below the PSD slack and the rank cutoff.  The PSD slack is relative
+to ||A_hat||_F from `frobenius_norm`, in the report and the screen alike.
 
 `screened_out` is a cheap screen for rejection sampling: one LDL'
 factorization per candidate, run on one instance's fields or on whole
@@ -62,9 +64,12 @@ def screened_out(A, A1, b1, c, d) -> np.ndarray:
     lambda_min(S) <= -2 slack + O(n u ||S||) with u the unit roundoff,
     whatever the order of the sums that formed A_hat, S and slack.  As
     ||S|| <= ||A_hat||_F, the rounding term is far below slack, so
-    lambda_min(S) < -slack.  The report's Jacobi lambda_min is as
-    accurate, so it is below -slack too and the verdict is False.  False
-    from the screen decides nothing.
+    lambda_min(S) < -slack.  The report's lambda_min comes from
+    `eigvalsh`, which is backward stable too: it is an eigenvalue of
+    S + E with ||E||_2 = O(n u ||S||) (LAPACK Users' Guide, 3rd ed.,
+    ch. 4), so by Weyl's inequality it is within that of lambda_min(S),
+    below -slack as well, and the verdict is False.  False from the
+    screen decides nothing.
     """
     d = np.asarray(d)[..., None, None]
     a_hat = (d * np.swapaxes(A1, -1, -2) - c[..., :, None] * b1[..., None, :]) @ A

@@ -211,7 +211,10 @@ def fejer_audit(trace, z, x_final=None) -> bool:
     z = as_vector(z, "z")
     pairs = [(trace[i], trace[i + 1].x) for i in range(len(trace) - 1)]
     if x_final is not None and trace:
-        pairs.append((trace[-1], as_vector(x_final, "x_final")))
+        x_final = as_vector(x_final, "x_final")
+        if x_final.size != trace[-1].x.size:
+            raise DimensionError("x_final dimension does not match trace")
+        pairs.append((trace[-1], x_final))
     for rec, x_next in pairs:
         if rec.x.size != z.size:
             raise DimensionError("z dimension does not match trace")

@@ -392,6 +392,16 @@ class TestAudits:
         with pytest.raises(DimensionError):
             fejer_audit([rec], np.zeros(1), np.zeros(2))
 
+    @pytest.mark.parametrize("x_final", [[0.0], [0.0, 0.0, 0.0]], ids=["shorter", "longer"])
+    def test_fejer_audit_x_final_dimension_mismatch(self, x_final):
+        # a 1-vector would broadcast against the trace's 2-vectors
+        rec = IterationRecord(
+            k=0, x=np.zeros(2), g_raw_norm=1.0, g_unit=np.ones(2),
+            alpha=0.1, step_norm=0.0,
+        )
+        with pytest.raises(DimensionError, match="x_final"):
+            fejer_audit([rec], np.zeros(2), x_final)
+
 
 class TestIterateBehaviour:
     def test_iterates_stay_feasible(self):
