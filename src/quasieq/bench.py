@@ -6,20 +6,19 @@ scale alpha_k = scale/(k+1), tolerances), and a solve counts as a
 success when the residual at the returned ``x_final``
 (``final_residual``, as in ``quasieq solve``) falls below the success
 tolerance.  A solve that raises is counted in the row by exception type
-and the sweep goes on.  Wall time is measured around the solve call
-only.
+and the sweep goes on.  A row's mean time is the mean of the reports'
+``elapsed_seconds``, each the wall time of one whole solve call.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .generator import GeneratorConfig, generate_instances
 from .oracles import AffineFractionalOracle
-from .solver import SolverConfig, normal_subgradient_solve
+from .solver import SolveReport, SolverConfig, normal_subgradient_solve
 
 
 @dataclass(frozen=True)
@@ -45,6 +44,10 @@ class BenchmarkReport:
     rows: tuple[BenchmarkRow, ...]
 
 
+def _mean(values: list[float]) -> float:
+    return math.fsum(values) / len(values) if values else math.nan
+
+
 def run_benchmark(
     sizes,
     count: int,
@@ -58,8 +61,9 @@ def run_benchmark(
     any solve.  ``config`` (default ``SolverConfig()``) supplies the
     variant, the step scale and the tolerances; tracing is disabled.  A
     solve that raises counts as a non-success in ``failures`` and never
-    aborts the sweep; the means are over the solves that returned, NaN
-    when none did.
+    aborts the sweep; the means, of ``elapsed_seconds`` and of
+    ``final_residual``, are over the solves that returned, NaN when none
+    did.
     """
     configs = {n: GeneratorConfig(n=n, count=count, seed=seed) for n in sizes}
     if not configs:
@@ -70,28 +74,20 @@ def run_benchmark(
     rows = []
     for size_index, n in enumerate(sorted(configs)):
         instances = generate_instances(replace(configs[n], seed=seed + size_index))
-        successes = 0
-        errors: list[float] = []
-        times: list[float] = []
+        reports: list[SolveReport] = []
         failures: Counter[str] = Counter()
         for inst in instances:
             oracle = AffineFractionalOracle(inst)
             try:
-                t0 = time.perf_counter()
-                report = normal_subgradient_solve(oracle, inst.box, solver_config)
-                times.append(time.perf_counter() - t0)
+                reports.append(normal_subgradient_solve(oracle, inst.box, solver_config))
             except Exception as exc:
                 failures[type(exc).__name__] += 1
-                continue
-            errors.append(report.final_residual)
-            if report.final_residual < solver_config.tol_success:
-                successes += 1
         rows.append(BenchmarkRow(
             n=n,
             n_prob=count,
-            n_success=successes,
-            mean_time_seconds=math.fsum(times) / len(times) if times else math.nan,
-            mean_error=math.fsum(errors) / len(errors) if errors else math.nan,
+            n_success=sum(1 for r in reports if r.final_residual < solver_config.tol_success),
+            mean_time_seconds=_mean([r.elapsed_seconds for r in reports]),
+            mean_error=_mean([r.final_residual for r in reports]),
             failures=dict(failures),
         ))
     return BenchmarkReport(

@@ -62,7 +62,6 @@ def _cmd_solve(args) -> int:
     print(f"iterations: {report.iterations}")
     print(f"elapsed_seconds: {report.elapsed_seconds:.6f}")
     print(f"final_residual: {report.final_residual:.6g}")
-    print(f"best_residual: {report.best_residual:.6g}")
     print(f"x_final: {json.dumps(report.x_final.tolist())}")
     if args.trace:
         write_trace_csv(report, args.trace)

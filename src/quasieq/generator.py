@@ -14,8 +14,8 @@ order, is accepted only on the certificate's verdict, so the screen
 changes no instance, only the cost of finding it.  The stream is the
 call's own, so draws past the last accepted one are never seen.  More
 than MAX_REJECTIONS rejections in one call, counted draw by draw, raise
-GenerationError.  n, count and seed must be integers (not bools), and
-the box bounds finite real numbers.
+GenerationError.  n, count and seed must be integers (not bools), the
+box bounds finite real numbers, and require_paramonotone a bool.
 """
 
 from __future__ import annotations
@@ -53,6 +53,9 @@ class GeneratorConfig:
         if not (is_real(self.box_low) and is_real(self.box_high)
                 and -math.inf < self.box_low < self.box_high < math.inf):
             raise ConfigurationError("box_low must be below box_high, both finite")
+        if not isinstance(self.require_paramonotone, bool):
+            raise ConfigurationError("require_paramonotone must be a bool, got "
+                                     f"{self.require_paramonotone!r}")
 
 
 def _fields(u, n: int) -> tuple:

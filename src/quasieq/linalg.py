@@ -155,13 +155,13 @@ def singular_values(m) -> np.ndarray:
     return scale * _lapack(np.linalg.svd, a / scale, compute_uv=False)
 
 
-def numeric_rank(values, tol: float) -> int:
-    """Count values strictly above tol * max(1, largest value); the
-    values must be nonnegative and may come in any order."""
+def numeric_rank(values, tol: float, scale: float | None = None) -> int:
+    """Count values (nonnegative, in any order) strictly above tol * scale,
+    with no floor; scale is the largest value unless given."""
     v = as_vector(values, "values")
-    if not (is_real(tol) and 0.0 < tol < math.inf):
-        raise ValueError("tol must be positive and finite")
+    top = float(np.max(v, initial=0.0)) if scale is None else scale
+    if not (is_real(tol) and 0.0 < tol < math.inf and is_real(top) and 0.0 <= top < math.inf):
+        raise ValueError("tol must be positive and scale nonnegative, both finite")
     if np.any(v < 0.0):
         raise ValueError("values must be nonnegative")
-    cutoff = tol * max(1.0, float(np.max(v, initial=0.0)))
-    return int(np.count_nonzero(v > cutoff))
+    return int(np.count_nonzero(v > tol * top))

@@ -8,8 +8,9 @@ two spectra that numpy's LAPACK routines compute: the eigenvalues of S
 give its smallest eigenvalue and, as |eig(S)| are its singular values,
 rank(S); rank(A_hat) comes from the singular values of A_hat.  Both are
 backward stable, so they are off by O(u ||A_hat||), u the unit roundoff,
-far below the PSD slack and the rank cutoff.  The PSD slack is relative
-to ||A_hat||_F from `frobenius_norm`, in the report and the screen alike.
+far below the PSD slack tol ||A_hat||_F (`frobenius_norm`) and the rank
+cutoff tol sigma_max(A_hat) that both ranks share.  Both are relative,
+with no floor, so a verdict does not depend on the scale of A_hat.
 
 `screened_out` is a cheap screen for rejection sampling: one LDL'
 factorization per candidate, run on one instance's fields or on whole
@@ -55,16 +56,17 @@ def compute_a_hat(inst) -> np.ndarray:
 
 def screened_out(A, A1, b1, c, d) -> np.ndarray:
     """Per candidate of a stack (A and A1 of shape (..., n, n), b1 and c
-    (..., n), d (...)): True where S + 2 slack I is not positive definite,
-    which rules out a paramonotone verdict from `check_paramonotone` at
-    the default tol.  All candidates are factored together.
+    (..., n), d (...)): True where S + 2 t I is not positive definite,
+    t = tol max(1, ||A_hat||_F) >= slack at the default tol, which rules
+    out a paramonotone verdict from `check_paramonotone` (at A_hat = 0 it
+    never does).  All candidates are factored together.
 
     LDL' is backward stable (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., ch. 10), so its breakdown on S + 2 slack I means
-    lambda_min(S) <= -2 slack + O(n u ||S||) with u the unit roundoff,
-    whatever the order of the sums that formed A_hat, S and slack.  As
-    ||S|| <= ||A_hat||_F, the rounding term is far below slack, so
-    lambda_min(S) < -slack.  The report's lambda_min comes from
+    Algorithms, 2nd ed., ch. 10), so its breakdown on S + 2 t I means
+    lambda_min(S) <= -2 t + O(n u ||S||) with u the unit roundoff,
+    whatever the order of the sums that formed A_hat, S and t.  As
+    ||S|| <= ||A_hat||_F, the rounding term is far below t, so
+    lambda_min(S) < -t <= -slack.  The report's lambda_min comes from
     `eigvalsh`, which is backward stable too: it is an eigenvalue of
     S + E with ||E||_2 = O(n u ||S||) (LAPACK Users' Guide, 3rd ed.,
     ch. 4), so by Weyl's inequality it is within that of lambda_min(S),
@@ -87,13 +89,15 @@ def paramonotonicity_report(a_hat: np.ndarray,
     if a_hat.shape[0] != a_hat.shape[1] or a_hat.size == 0:
         raise DimensionError(f"a_hat must be square and nonempty, got shape {a_hat.shape}")
     sym = 0.5 * a_hat + 0.5 * a_hat.T  # halved first, so no sum overflows
-    slack = float(tol * max(1.0, frobenius_norm(a_hat)))  # the absolute PSD slack
+    slack = float(tol * frobenius_norm(a_hat))  # the absolute PSD slack
     if slack == np.inf:  # past the float range, where any S would pass as PSD
         raise InputError("tol * ||a_hat||_F is beyond the float range", field="a_hat")
     eig = symmetric_eigenvalues(sym)
     min_eig = float(eig[0])
-    rank_sym = numeric_rank(np.abs(eig), tol)
-    rank_a_hat = numeric_rank(singular_values(a_hat), tol)
+    sv = singular_values(a_hat)
+    # one cutoff for both ranks: eig(S) is off by O(u ||A_hat||), not O(u ||S||)
+    rank_sym = numeric_rank(np.abs(eig), tol, scale=float(sv[0]))
+    rank_a_hat = numeric_rank(sv, tol)
     verdict = (min_eig >= -slack) and (rank_sym == rank_a_hat)
     return ParamonotonicityReport(
         a_hat=a_hat,

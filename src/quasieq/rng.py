@@ -40,17 +40,16 @@ def splitmix64_next(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-def _advance(s: np.ndarray, out: np.ndarray | None) -> None:
+def _advance(s: np.ndarray, out: np.ndarray) -> None:
     """Advance every lane (column of the (4, lanes) uint64 state s) by
     _LANE xoshiro256** steps in place; the uniform made from the j-th
-    output word of lane l goes to out[l, j] unless out is None."""
+    output word of lane l goes to out[l, j] (float64, (lanes, _LANE))."""
     s0, s1, s2, s3 = s
     low, high, high_reversed = s[:2], s[2:], s[:1:-1]
     t = np.empty_like(s0)
-    history = None if out is None else out.view(np.uint64)  # s1 before each step
+    history = out.view(np.uint64)  # s1 before each step
     for j in range(_LANE):
-        if history is not None:
-            history[:, j] = s1
+        history[:, j] = s1
         np.left_shift(s1, 17, out=t)
         high ^= low  # s2 ^= s0, s3 ^= s1
         low ^= high_reversed  # s0 ^= s3, s1 ^= s2
@@ -58,8 +57,6 @@ def _advance(s: np.ndarray, out: np.ndarray | None) -> None:
         np.right_shift(s3, 19, out=t)
         s3 <<= 45
         s3 |= t  # rotl(s3, 45)
-    if out is None:
-        return
     # The ** scrambler and the float conversion, in refill-sized pieces so
     # that their temporaries stay small: one unchunked pass raises the
     # benchmark's `large` peak memory by about 2%.
@@ -85,7 +82,7 @@ def _jump_table() -> np.ndarray:
     state's jump is the XOR of the 32 rows its bytes pick."""
     units = np.packbits(np.eye(256, dtype=np.uint8), axis=1, bitorder="little")
     s = units.view(np.uint64).T.copy()  # column i: the state with only bit i set
-    _advance(s, None)
+    _advance(s, np.empty((256, _LANE)))  # the uniforms are not needed
     bits = s.T.reshape(32, 8, 4)  # the images by byte and bit
     table = np.zeros((32, 256, 4), dtype=np.uint64)
     for b in range(8):

@@ -21,6 +21,7 @@ inequality relating consecutive distances to any feasible point.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -50,7 +51,7 @@ class SolverConfig:
     tol_step: float = 1e-4
     tol_residual: float = 1e-3
     tol_success: float = 1e-1
-    # trace retention: None = full, 0 = none, n = last n records
+    # trace retention: None = full, 0 = none, n <= sys.maxsize = last n records
     trace_keep: Optional[int] = None
 
     def __post_init__(self):
@@ -63,9 +64,9 @@ class SolverConfig:
             if not (is_real(value) and 0.0 < value < math.inf):
                 raise ConfigurationError(f"{name} must be positive and finite")
         if not (self.trace_keep is None
-                or is_integer(self.trace_keep) and self.trace_keep >= 0):
-            raise ConfigurationError(
-                f"trace_keep must be None or an integer >= 0, got {self.trace_keep!r}")
+                or is_integer(self.trace_keep) and 0 <= self.trace_keep <= sys.maxsize):
+            raise ConfigurationError("trace_keep must be None or an integer from 0 to "
+                                     f"sys.maxsize, got {self.trace_keep!r}")
 
 
 @dataclass(eq=False)
@@ -94,8 +95,7 @@ class SolveReport:
     iterations: int
     trace: list[IterationRecord]
     final_residual: float
-    best_residual: float
-    elapsed_seconds: float
+    elapsed_seconds: float  # the whole call, from entry to return
 
 
 def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
@@ -110,10 +110,12 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
     -min_y f(x_k, y) evaluated at x_k before the step.  final_residual is
     always the residual at x_final: when ng2 stops before stepping it is
     the last probe's, otherwise (every ng1 stop, and ng2 at max_iter) it
-    is one oracle.residual(x_final) call.  best_residual is the least
-    residual evaluated.  A subgradient norm or ng2 residual that is not
-    finite raises DomainError naming the iteration.
+    is one oracle.residual(x_final) call.  elapsed_seconds spans the
+    whole call: the feasible-set checks, the iterations and that final
+    residual.  A subgradient norm or ng2 residual that is not finite
+    raises DomainError naming the iteration.
     """
+    start = time.perf_counter()
     box = oracle.box
     if not isinstance(feasible_set, BoxSet):
         raise ConfigurationError(
@@ -132,16 +134,12 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
     x = box.project(box.center if x0 is None else x0)
 
     trace = deque(maxlen=config.trace_keep)
-    best_residual = math.inf
-
     response = None  # ng2: the last best response, where the next probe starts
-    start = time.perf_counter()
     for k in range(config.max_iter):
         if ng2:
             g, residual, response = oracle.probe(x, response)
             if not math.isfinite(residual):
                 raise DomainError(f"residual {residual:g} is not finite at iterate {k}")
-            best_residual = min(best_residual, residual)
             if residual < config.tol_residual:
                 status = SolveStatus.RESIDUAL_BELOW_TOL
                 break
@@ -174,19 +172,14 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
             break
     else:
         status = SolveStatus.MAX_ITER_REACHED
-    elapsed = time.perf_counter() - start
-
-    final_residual = oracle.residual(x) if residual is None else residual
-    best_residual = min(best_residual, final_residual)
 
     return SolveReport(
         status=status,
         x_final=x,
         iterations=k + 1,
         trace=list(trace),
-        final_residual=final_residual,
-        best_residual=best_residual,
-        elapsed_seconds=elapsed,
+        final_residual=oracle.residual(x) if residual is None else residual,
+        elapsed_seconds=time.perf_counter() - start,  # after the residual above
     )
 
 

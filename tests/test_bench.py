@@ -74,18 +74,15 @@ class TestBookkeeping:
 
 class TestAggregation:
     def test_means_and_success_from_stubbed_solver(self, monkeypatch):
-        # the success cut is 0.1 and applies to the residual at x_final,
-        # so a good earlier iterate (best 0.05, final 0.5) is no success
-        for best, final, n_success in ((0.05, 0.05, 4), (0.05, 0.5, 0)):
-            def fake_solve(oracle, feasible_set, config, x0=None,
-                           best=best, final=final):
+        # the success cut is 0.1 and applies to the residual at x_final
+        for final, n_success in ((0.05, 4), (0.5, 0)):
+            def fake_solve(oracle, feasible_set, config, x0=None, final=final):
                 return SolveReport(
                     status=SolveStatus.RESIDUAL_BELOW_TOL,
                     x_final=feasible_set.center,
                     iterations=1,
                     trace=[],
                     final_residual=final,
-                    best_residual=best,
                     elapsed_seconds=0.0,
                 )
 
@@ -95,6 +92,18 @@ class TestAggregation:
             assert row.n_success == n_success
             assert row.mean_error == pytest.approx(final)
             assert row.n_failed == 0
+
+    def test_mean_time_is_the_mean_of_the_reports_elapsed_seconds(self, monkeypatch):
+        elapsed = iter([1.0, 3.0])
+
+        def fake_solve(oracle, feasible_set, config, x0=None):
+            return SolveReport(status=SolveStatus.RESIDUAL_BELOW_TOL,
+                               x_final=feasible_set.center, iterations=1, trace=[],
+                               final_residual=0.0, elapsed_seconds=next(elapsed))
+
+        monkeypatch.setattr(bench_module, "normal_subgradient_solve", fake_solve)
+        [row] = run_benchmark(sizes=(2,), count=2, seed=9).rows
+        assert row.mean_time_seconds == 2.0
 
     def test_solver_exception_counts_as_failure(self, monkeypatch):
         def exploding_solve(oracle, feasible_set, config, x0=None):

@@ -147,6 +147,7 @@ class TestGeneratorConfig:
             {"n": 1, "count": 1, "seed": 1, "box_low": np.nan},
             {"n": 1, "count": 1, "seed": 1, "box_low": False},
             {"n": 1, "count": 1, "seed": 1, "box_high": "3"},
+            {"n": 1, "count": 1, "seed": 1, "require_paramonotone": "no"},
         ],
     )
     def test_rejects_bad_config(self, kwargs):

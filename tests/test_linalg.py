@@ -352,9 +352,14 @@ class TestNumericRank:
 
     def test_relative_threshold_scales_with_largest(self):
         vals = np.array([1e6, 1.0])
-        # threshold = tol * max(1, 1e6); 1.0 falls below it for tol = 1e-5
+        # threshold = tol * 1e6; 1.0 falls below it for tol = 1e-5
         assert numeric_rank(vals, tol=1e-5) == 1
         assert numeric_rank(vals, tol=1e-7) == 2
+        # threshold = tol * 1e-20, with no floor at 1
+        assert numeric_rank(np.array([1e-20, 1e-30]), tol=1e-8) == 1
+        assert numeric_rank(np.array([1e-20, 1e-27]), tol=1e-8) == 2
+        # an explicit scale replaces the largest value
+        assert numeric_rank(np.array([1e-20, 1e-27]), tol=1e-8, scale=1.0) == 0
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -364,6 +369,9 @@ class TestNumericRank:
         for tol in (0.0, np.inf, np.nan, True, "1e-8"):
             with pytest.raises(ValueError):
                 numeric_rank(np.array([1.0]), tol=tol)
+        for scale in (-1.0, np.inf, np.nan, True):
+            with pytest.raises(ValueError, match="scale"):
+                numeric_rank(np.array([1.0]), tol=1e-8, scale=scale)
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=6),

@@ -19,7 +19,7 @@ from quasieq.monotonicity import (
     paramonotonicity_report,
     screened_out,
 )
-from quasieq.oracles import AffineFractionalInstance
+from quasieq.oracles import AffineFractionalInstance, affine_vi_instance
 from quasieq.rng import UniformStream
 from quasieq.sets import BoxSet
 
@@ -33,15 +33,14 @@ def _inst(A, A1, b1, c, d, n=2):
 
 def _numpy_certificate(a_hat, tol=monotonicity.DEFAULT_TOL):
     """(verdict, min eigenvalue of S, rank S, rank A_hat) from numpy's
-    LAPACK eigvalsh and svd, decided with the same relative tolerance and
-    the same rule: S PSD and rank S = rank A_hat."""
+    LAPACK eigvalsh and svd, decided with the same rule: S PSD within
+    tol ||A_hat||_F and rank S = rank A_hat, both ranks cut at
+    tol sigma_max(A_hat)."""
     sym = 0.5 * (a_hat + a_hat.T)
     min_eig = np.linalg.eigvalsh(sym)[0]
-    ranks = []
-    for m in (sym, a_hat):
-        s = np.linalg.svd(m, compute_uv=False)
-        ranks.append(int(np.count_nonzero(s > tol * max(1.0, s[0]))))
-    slack = tol * max(1.0, np.linalg.norm(a_hat))
+    sv_sym, sv = (np.linalg.svd(m, compute_uv=False) for m in (sym, a_hat))
+    ranks = [int(np.count_nonzero(s > tol * sv[0])) for s in (sv_sym, sv)]
+    slack = tol * np.linalg.norm(a_hat)
     return bool(min_eig >= -slack) and ranks[0] == ranks[1], min_eig, *ranks
 
 
@@ -60,8 +59,12 @@ REPORT_CASES = pytest.mark.parametrize(
         ([[0.0, 1.0], [-1.0, 0.0]], 0, 2, False),
         # S = diag(1, 0) is PSD with rank 1 < rank A_hat = 2
         ([[1.0, 1.0], [-1.0, 0.0]], 1, 2, False),
+        # negative definite at any scale: the slack has no floor at 1
+        ([[-1e-9, 0.0], [0.0, -1e-9]], 2, 2, False),
+        ([[-1e-200, 0.0], [0.0, -1e-200]], 2, 2, False),
     ],
-    ids=["psd-diagonal", "rotation", "psd-sym-part-of-lower-rank"],
+    ids=["psd-diagonal", "rotation", "psd-sym-part-of-lower-rank",
+         "negative-definite-1e-9", "negative-definite-1e-200"],
 )
 
 
@@ -198,6 +201,50 @@ class TestCheckParamonotone:
             assert sampled_psd == eig_psd
 
 
+def _seeded_matrices(per_kind=20):
+    """n = 1-7: general, low-rank PSD plus skew, and PSD matrices."""
+    gen = np.random.default_rng(5)
+    for n in range(1, 8):
+        for _ in range(per_kind):
+            raw = gen.normal(size=(n, n))
+            low = gen.normal(size=(n, gen.integers(0, n + 1)))
+            yield raw
+            yield low @ low.T + (raw - raw.T)
+            yield raw @ raw.T
+
+
+class TestScaleInvariance:
+    """The slack and both rank cutoffs are relative to A_hat, so a verdict
+    does not depend on its scale."""
+
+    @pytest.mark.parametrize("s", [1e-200, 1.0, 1e200])
+    def test_skew_up_to_rounding_is_not_paramonotone(self, s):
+        # S is rounding noise of O(u ||A_hat||), below the one rank cutoff
+        # tol sigma_max(A_hat), while A_hat is invertible
+        gen = np.random.default_rng(3)
+        raw = gen.normal(size=(4, 4))
+        q, _ = np.linalg.qr(gen.normal(size=(4, 4)))
+        report = paramonotonicity_report(s * (q @ (raw - raw.T) @ q.T))
+        assert (report.rank_sym, report.rank_a_hat, report.verdict) == (0, 4, False)
+
+    def test_tiny_non_monotone_vi(self):
+        # F(x) = -1e-9 x + (1, 1) is not monotone on [1, 3]^2
+        inst = affine_vi_instance(-1e-9 * np.eye(2), np.ones(2), BoxSet.uniform(2, 1.0, 3.0))
+        assert check_paramonotone(inst).verdict is False
+
+    def test_zero_a_hat_is_paramonotone(self):
+        report = paramonotonicity_report(np.zeros((3, 3)))
+        assert (report.verdict, report.tol, report.rank_sym, report.rank_a_hat) == (True, 0.0, 0, 0)
+
+    def test_verdict_invariant_under_powers_of_two(self):
+        verdicts = Counter()
+        for a_hat in _seeded_matrices():
+            got = {paramonotonicity_report(2.0**k * a_hat).verdict for k in (-60, -20, 0, 20, 60)}
+            assert len(got) == 1
+            verdicts[got.pop()] += 1
+        assert verdicts[True] > 0 and verdicts[False] > 0
+
+
 class TestReportConstruction:
     @REPORT_CASES
     def test_report_from_matrix(self, matrix, rank_sym, rank_a_hat, verdict):
@@ -280,13 +327,18 @@ class TestScreen:
 
     @REPORT_CASES
     def test_report_construction_matrices_pass(self, matrix, rank_sym, rank_a_hat, verdict):
-        # two of the three are rejected, by the ranks alone
+        # rotation and psd-sym-part-of-lower-rank are rejected by the ranks
+        # alone; the tiny negative-definite ones lie inside the screen's
+        # floor, so the report's PSD leg rejects them
         assert _screened(_from_a_hat(np.array(matrix))) is False
         assert paramonotonicity_report(np.array(matrix)).verdict is verdict
 
     def test_negated_identity_is_screened_out(self, negated_case, identity_case):
         assert _screened(negated_case) is True
         assert _screened(identity_case) is False
+        tiny = _from_a_hat(-1e-3 * np.eye(2))
+        assert _screened(tiny) is True
+        assert check_paramonotone(tiny).verdict is False
 
     @pytest.mark.parametrize("n, seed", [(1, 5), (2, 7), (3, 12345)])
     def test_stack_agrees_with_the_matrix_by_matrix_screen(self, n, seed):

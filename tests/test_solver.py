@@ -1,4 +1,6 @@
 import json
+import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -84,11 +86,18 @@ class TestSolverConfig:
             {"scale": True},
             {"scale": "100"},
             {"tol_residual": np.True_},
+            {"trace_keep": 10**30},  # past a deque's sys.maxsize limit
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigurationError):
             SolverConfig(**kwargs)
+
+    def test_trace_keep_up_to_sys_maxsize(self, t1):
+        cfg = SolverConfig(variant="ng1", scale=1.0, trace_keep=sys.maxsize)
+        report = normal_subgradient_solve(AffineFractionalOracle(t1), t1.box, cfg,
+                                          x0=np.array([1.0]))
+        assert len(report.trace) == 1
 
 
 class TestToyProblem:
@@ -130,7 +139,6 @@ class TestToyProblem:
         assert report.status is SolveStatus.RESIDUAL_BELOW_TOL
         np.testing.assert_array_equal(report.x_final, [2.0])
         assert report.final_residual == 0.0
-        assert report.best_residual == 0.0
         assert report.trace[0].residual == pytest.approx(2.0)
 
     def test_ng1_step_below_tol(self, t1):
@@ -195,8 +203,7 @@ def _fake_probe(box, g, residual):
 
 class TestFinalResidual:
     """final_residual is the last probe's when ng2 stops before stepping,
-    else one oracle.residual(x_final) call; best_residual the least of
-    every residual evaluated."""
+    else one oracle.residual(x_final) call."""
 
     @pytest.mark.parametrize("variant, make_oracle, options, x0, status", [
         ("ng1", lambda t1: AffineFractionalOracle(t1), {"scale": 1.0}, 1.0,
@@ -230,7 +237,23 @@ class TestFinalResidual:
             [(x, value)] = oracle.calls
             assert x.tobytes() == report.x_final.tobytes()
             assert report.final_residual == value
-        assert report.best_residual == min([*oracle.probed, report.final_residual])
+
+
+class TestElapsedSeconds:
+    def test_spans_the_final_residual(self, t1):
+        # ng1 stops at x* = 2 at once and then pays one residual call
+        oracle = AffineFractionalOracle(t1)
+
+        def slow_residual(x):
+            time.sleep(0.05)
+            return oracle.residual(x)
+
+        slow = SimpleNamespace(box=oracle.box, diagonal_subgradient=oracle.diagonal_subgradient,
+                               probe=oracle.probe, residual=slow_residual)
+        report = normal_subgradient_solve(slow, t1.box, SolverConfig(variant="ng1"),
+                                          x0=np.array([2.0]))
+        assert report.iterations == 1
+        assert report.elapsed_seconds >= 0.05
 
 
 class TestSolverGuards:
@@ -285,7 +308,7 @@ class TestSolverGuards:
         got, want = (normal_subgradient_solve(oracle, box, config) for box in (twin, inst.box))
         assert (got.status, got.iterations) == (want.status, want.iterations)
         assert got.x_final.tobytes() == want.x_final.tobytes()
-        assert (got.final_residual, got.best_residual) == (want.final_residual, want.best_residual)
+        assert got.final_residual == want.final_residual
         assert len(got.trace) == len(want.trace) > 0
         for a, b in zip(got.trace, want.trace):
             assert (a.k, a.g_raw_norm, a.alpha, a.step_norm, a.residual) == \
@@ -480,8 +503,8 @@ class TestIterateBehaviour:
         assert second_residuals == [rec.residual for rec in alone[1].trace[:len(second_residuals)]]
         assert rounds[0::2][:len(second_residuals)] == alone_rounds[1][:len(second_residuals)]
         assert first_rounds == alone_rounds[0]
-        assert (first.status, first.iterations, first.final_residual, first.best_residual) == (
-            alone[0].status, alone[0].iterations, alone[0].final_residual, alone[0].best_residual)
+        assert (first.status, first.iterations, first.final_residual) == (
+            alone[0].status, alone[0].iterations, alone[0].final_residual)
         np.testing.assert_array_equal(first.x_final, alone[0].x_final)
         for got, want in zip(first.trace, alone[0].trace, strict=True):
             assert (got.k, got.residual, got.g_raw_norm, got.step_norm) == (
@@ -520,7 +543,7 @@ class TestStronglyMonotoneConvergence:
                 y = y_next
 
             report = normal_subgradient_solve(AffineFractionalOracle(inst), box, cfg)
-            assert report.best_residual < 1e-1
+            assert report.final_residual < 1e-1
             assert np.linalg.norm(report.x_final - y) < 1e-2
 
 
