@@ -96,12 +96,14 @@ def dinkelbach_minimize(obj: FractionalObjective, box: BoxSet) -> DinkelbachResu
     if obj.p.size != box.dim:
         raise DimensionError(f"objective has dimension {obj.p.size}, box has {box.dim}")
     _check_denominator(obj.c, obj.d, box)
-    return _dinkelbach(obj.p, obj.q, obj.c, obj.d, box, _minimizing_vertex(obj.p, box))
+    return _dinkelbach(obj.p, obj.q, obj.c, obj.d, box)
 
 
 def _dinkelbach(p: np.ndarray, q: float, c: np.ndarray, d: float, box: BoxSet,
-                y: np.ndarray) -> DinkelbachResult:
-    """dinkelbach_minimize's rounds, unchecked, from any y in the box (n + 2 at most)."""
+                y: np.ndarray | None = None) -> DinkelbachResult:
+    """dinkelbach_minimize's rounds, unchecked, from any y in the box or,
+    if None, from the vertex minimizing p'y (n + 2 at most)."""
+    y = _minimizing_vertex(p, box) if y is None else y
     alpha = _ratio(p, q, c, d, y)
     for iteration in itertools.count(1):
         y_next = _minimizing_vertex(p - alpha * c, box)
@@ -115,13 +117,16 @@ def response_objective(inst, x) -> FractionalObjective:
     """Fractional objective phi_x(y) = (p'y + q)/(c'y + d) of an
     affine-fractional instance at the point x, with p = A1'(Ax + b) and
     q = b1'(Ax + b), so that f(x, y) = phi_x(y) - phi_x(x)."""
-    u = inst.A @ as_vector(x, "x") + inst.b
-    return FractionalObjective(inst.A1.T @ u, float(inst.b1 @ u), inst.c, inst.d)
+    p, q, _ = _response(inst, x)
+    return FractionalObjective(p, q, inst.c, inst.d)
 
 
-def _response(inst, x: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """(p, q, phi_x(x)) of response_objective, unchecked, for an x the
-    caller has already validated."""
+def _response(inst, x) -> tuple[np.ndarray, float, float]:
+    """(p, q, phi_x(x)) of response_objective; the one place that checks
+    a point x: a finite vector of the instance's dimension with c'x + d > 0."""
+    x = as_vector(x, "x")
+    if x.size != inst.box.dim:
+        raise DimensionError(f"x has dimension {x.size}, instance has {inst.box.dim}", field="x")
     u = inst.A @ x + inst.b
     p, q = inst.A1.T @ u, float(inst.b1 @ u)
     return p, q, _ratio(p, q, inst.c, inst.d, x)
@@ -135,6 +140,6 @@ def best_response_residual(inst, x) -> tuple[np.ndarray, float]:
     feasible) and equals zero exactly when x solves the equilibrium
     problem.
     """
-    p, q, phi = _response(inst, as_vector(x, "x"))
+    p, q, phi = _response(inst, x)
     result = dinkelbach_minimize(FractionalObjective(p, q, inst.c, inst.d), inst.box)
     return result.y, phi - result.value

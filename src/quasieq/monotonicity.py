@@ -51,7 +51,18 @@ class ParamonotonicityReport:
 
 def compute_a_hat(inst) -> np.ndarray:
     """(d A1' - c b1') A for an affine-fractional instance."""
-    return (inst.d * inst.A1.T - np.outer(inst.c, inst.b1)) @ inst.A
+    return _a_hat(inst.A, inst.A1, inst.b1, inst.c, inst.d)
+
+
+def _a_hat(A, A1, b1, c, d) -> np.ndarray:
+    """(d A1' - c b1') A for one instance's fields or per candidate of a stack."""
+    d = np.asarray(d)[..., None, None]
+    return (d * np.swapaxes(A1, -1, -2) - c[..., :, None] * b1[..., None, :]) @ A
+
+
+def _symmetric_part(a_hat: np.ndarray) -> np.ndarray:
+    """S = A_hat/2 + A_hat'/2, halved first so that no sum overflows."""
+    return 0.5 * a_hat + 0.5 * np.swapaxes(a_hat, -1, -2)
 
 
 def screened_out(A, A1, b1, c, d) -> np.ndarray:
@@ -73,9 +84,8 @@ def screened_out(A, A1, b1, c, d) -> np.ndarray:
     below -slack as well, and the verdict is False.  False from the
     screen decides nothing.
     """
-    d = np.asarray(d)[..., None, None]
-    a_hat = (d * np.swapaxes(A1, -1, -2) - c[..., :, None] * b1[..., None, :]) @ A
-    sym = 0.5 * a_hat + 0.5 * np.swapaxes(a_hat, -1, -2)
+    a_hat = _a_hat(A, A1, b1, c, d)
+    sym = _symmetric_part(a_hat)
     shift = 2.0 * DEFAULT_TOL * np.maximum(1.0, frobenius_norm(a_hat))[..., None, None]
     return np.logical_not(is_positive_definite(sym + shift * np.eye(c.shape[-1])))
 
@@ -88,7 +98,7 @@ def paramonotonicity_report(a_hat: np.ndarray,
     a_hat = as_matrix(a_hat, "a_hat")
     if a_hat.shape[0] != a_hat.shape[1] or a_hat.size == 0:
         raise DimensionError(f"a_hat must be square and nonempty, got shape {a_hat.shape}")
-    sym = 0.5 * a_hat + 0.5 * a_hat.T  # halved first, so no sum overflows
+    sym = _symmetric_part(a_hat)
     slack = float(tol * frobenius_norm(a_hat))  # the absolute PSD slack
     if slack == np.inf:  # past the float range, where any S would pass as PSD
         raise InputError("tol * ||a_hat||_F is beyond the float range", field="a_hat")

@@ -19,8 +19,8 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .errors import DimensionError
-from .fractional import (FractionalObjective, _check_denominator, _dinkelbach,
-                         _minimizing_vertex, _response, best_response_residual)
+from .fractional import (FractionalObjective, _check_denominator, _dinkelbach, _response,
+                         best_response_residual)
 from .linalg import as_matrix, as_real, as_vector
 from .sets import BoxSet
 
@@ -90,7 +90,7 @@ def affine_vi_instance(M, r, box: BoxSet) -> AffineFractionalInstance:
 def fractional_value(inst: AffineFractionalInstance, x, y) -> float:
     """f(x, y) = phi_x(y) - phi_x(x) for the affine-fractional bifunction,
     with phi_x the response objective at x; f(x, x) = 0."""
-    p, q, phi = _response(inst, as_vector(x, "x"))
+    p, q, phi = _response(inst, x)
     return FractionalObjective(p, q, inst.c, inst.d)(y) - phi
 
 
@@ -98,7 +98,7 @@ def fractional_diagonal_subgradient(inst: AffineFractionalInstance, x) -> np.nda
     """Unnormalized diagonal GP-subgradient g = p - phi_x(x) c of f(x, .)
     at x, from the response objective phi_x = (p'y + q)/(c'y + d).  The
     solver normalizes nonzero g."""
-    p, _, phi = _response(inst, as_vector(x, "x"))
+    p, _, phi = _response(inst, x)
     return p - phi * inst.c
 
 
@@ -123,7 +123,6 @@ class AffineFractionalOracle:
     def probe(self, x, start=None) -> tuple[np.ndarray, float, np.ndarray]:
         """(g, residual, y*) at x from one response objective."""
         inst = self.instance
-        p, q, phi = _response(inst, as_vector(x, "x"))
-        start = _minimizing_vertex(p, inst.box) if start is None else start
+        p, q, phi = _response(inst, x)
         result = _dinkelbach(p, q, inst.c, inst.d, inst.box, start)
         return p - phi * inst.c, phi - result.value + 0.0, result.y

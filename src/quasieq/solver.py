@@ -21,9 +21,7 @@ inequality relating consecutive distances to any feasible point.
 from __future__ import annotations
 
 import math
-import sys
 import time
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -51,7 +49,7 @@ class SolverConfig:
     tol_step: float = 1e-4
     tol_residual: float = 1e-3
     tol_success: float = 1e-1
-    # trace retention: None = full, 0 = none, n <= sys.maxsize = last n records
+    # trace retention: None keeps every record, 0 keeps none
     trace_keep: Optional[int] = None
 
     def __post_init__(self):
@@ -63,10 +61,8 @@ class SolverConfig:
             value = getattr(self, name)
             if not (is_real(value) and 0.0 < value < math.inf):
                 raise ConfigurationError(f"{name} must be positive and finite")
-        if not (self.trace_keep is None
-                or is_integer(self.trace_keep) and 0 <= self.trace_keep <= sys.maxsize):
-            raise ConfigurationError("trace_keep must be None or an integer from 0 to "
-                                     f"sys.maxsize, got {self.trace_keep!r}")
+        if not (self.trace_keep is None or is_integer(self.trace_keep) and self.trace_keep == 0):
+            raise ConfigurationError(f"trace_keep must be None or 0, got {self.trace_keep!r}")
 
 
 @dataclass(eq=False)
@@ -133,7 +129,7 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
 
     x = box.project(box.center if x0 is None else x0)
 
-    trace = deque(maxlen=config.trace_keep)
+    trace = []
     response = None  # ng2: the last best response, where the next probe starts
     for k in range(config.max_iter):
         if ng2:
@@ -157,7 +153,7 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
         x_next = np.clip(x - alpha * g_unit, lo, hi)
         step = x_next - x
         step_norm = math.sqrt(step @ step)
-        if config.trace_keep != 0:
+        if config.trace_keep is None:
             trace.append(IterationRecord(
                 k=k, x=x.copy(), g_raw_norm=g_raw_norm, g_unit=g_unit,
                 alpha=alpha, step_norm=step_norm, residual=residual,
@@ -177,7 +173,7 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
         status=status,
         x_final=x,
         iterations=k + 1,
-        trace=list(trace),
+        trace=trace,
         final_residual=oracle.residual(x) if residual is None else residual,
         elapsed_seconds=time.perf_counter() - start,  # after the residual above
     )

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -301,3 +303,24 @@ class TestEntryPoints:
             ["quasieq", "--help"], capture_output=True, text=True
         )
         assert proc.returncode == 0
+
+
+def _readme_commands():
+    """Every line of the ```sh blocks under README's "## Command line",
+    split out as CI's README job splits them, minus comments and blanks."""
+    text = (CHECKOUT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```sh\n(.*?)```", section, re.S)
+    lines = [line.strip() for block in blocks for line in block.splitlines()]
+    return [line for line in lines if line and not line.startswith("#")]
+
+
+def test_readme_examples_exit_zero(tmp_path, monkeypatch):
+    # run in order, as a shell would: later examples read files earlier ones write
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert commands
+    for line in commands:
+        program, *argv = shlex.split(line)
+        assert program == "quasieq", line
+        assert main(argv) == EXIT_OK, line

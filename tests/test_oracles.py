@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quasieq.errors import DimensionError, DomainError
-from quasieq.fractional import best_response_residual
+from quasieq.fractional import best_response_residual, response_objective
 from quasieq.generator import GeneratorConfig, generate_instances
 from quasieq.oracles import (
     AffineFractionalInstance,
@@ -262,3 +262,31 @@ class TestOracleClasses:
             assert residual == pytest.approx(-min(vertex_vals), abs=1e-12)
             y, _ = best_response_residual(inst, x)
             assert _vi_value(M, r, x, y) == pytest.approx(-residual, abs=1e-12)
+
+
+class TestPointCheck:
+    """Every public evaluator at a point x checks it in one place: a wrong
+    size is a DimensionError naming x, not numpy's matmul error."""
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda inst, x: AffineFractionalOracle(inst).probe(x),
+        lambda inst, x: AffineFractionalOracle(inst).residual(x),
+        lambda inst, x: AffineFractionalOracle(inst).diagonal_subgradient(x),
+        fractional_diagonal_subgradient,
+        lambda inst, x: fractional_value(inst, x, inst.box.center),
+        best_response_residual,
+        response_objective,
+    ], ids=["probe", "residual", "diagonal_subgradient", "fractional_diagonal_subgradient",
+            "fractional_value", "best_response_residual", "response_objective"])
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_wrong_size_names_x(self, evaluate, size):
+        inst = generate_instances(GeneratorConfig(n=3, count=1, seed=5))[0]
+        with pytest.raises(DimensionError) as info:
+            evaluate(inst, np.ones(size))
+        assert info.value.field == "x"
+
+    def test_response_objective_needs_a_positive_denominator_at_x(self, e1):
+        # c'x + d = x + 1: f(x, .) is undefined at x = -1 and below
+        for x in ([-1.0], [-2.0]):
+            with pytest.raises(DomainError):
+                response_objective(e1, np.array(x))

@@ -1,6 +1,7 @@
 """The generator's stream is pinned by the instance digests that the
 benchmark records in perfbench/reference.json, and the solver by the
-paper batch's (status, iterations) signature there.  These tests
+paper batch's (status, iterations) signature there and by three more
+batches' signatures in tests/data/solve_signatures.json.  These tests
 recompute both with the benchmark's own workload definitions, so a
 change to the seeded instances or to a solve fails here and not only in
 a benchmark run."""
@@ -13,6 +14,7 @@ import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
+SIGNATURES = json.loads((Path(__file__).parent / "data" / "solve_signatures.json").read_text())
 
 
 @pytest.fixture
@@ -33,10 +35,18 @@ def test_instance_digest(workloads, name):
     assert digest == REFERENCE["digests"][name]
 
 
-def test_paper_batch_keeps_its_signature(workloads):
-    # the same-behaviour gate of perfbench/run.py: batch 0 of paper at the
-    # reference seed, solved through the workload's own calls
-    paper = workloads.WORKLOADS["paper"]
-    batch = paper.setup(workloads.REFERENCE_SEED)
-    ops = [workloads.timed(call) for call in paper.calls(batch)]
-    assert workloads.SolveWorkload.signature(ops) == REFERENCE["signatures"]["paper"]
+@pytest.mark.parametrize("name, seed", [
+    ("paper", 12345), ("paper", 601), ("paper", 602), ("large", 12345),
+])
+def test_batch_keeps_its_signature(workloads, name, seed):
+    # batch 0 of a workload at a seed, solved through the workload's own
+    # calls; paper at the reference seed is the same-behaviour gate of
+    # perfbench/run.py, the others are kept in tests/data
+    workload = workloads.WORKLOADS[name]
+    batch = workload.setup(seed)
+    ops = [workloads.timed(call) for call in workload.calls(batch)]
+    if (name, seed) == ("paper", workloads.REFERENCE_SEED):
+        expected = REFERENCE["signatures"]["paper"]
+    else:
+        expected = SIGNATURES[name][str(seed)]
+    assert workloads.SolveWorkload.signature(ops) == expected
