@@ -15,13 +15,7 @@ from .errors import (
     InputError,
     InstanceFormatError,
 )
-from .fractional import (
-    DinkelbachResult,
-    FractionalObjective,
-    best_response_residual,
-    dinkelbach_minimize,
-    response_objective,
-)
+from .fractional import DinkelbachResult, best_response_residual, dinkelbach_minimize
 from .generator import GeneratorConfig, generate_instances
 from .linalg import numeric_rank, singular_values, symmetric_eigenvalues
 from .monotonicity import (
@@ -69,7 +63,6 @@ __all__ = [
     "DinkelbachResult",
     "DomainError",
     "EquilibriumOracle",
-    "FractionalObjective",
     "GenerationError",
     "GeneratorConfig",
     "InputError",
@@ -93,7 +86,6 @@ __all__ = [
     "numeric_rank",
     "paramonotonicity_report",
     "parse_instance_file",
-    "response_objective",
     "run_benchmark",
     "singular_values",
     "step_length_audit",

@@ -76,9 +76,13 @@ def _as_real_array(x, name: str, ndim: int) -> np.ndarray:
     return a
 
 
-def as_vector(x, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite 1-D float64 array."""
-    return _as_real_array(x, name, 1)
+def as_vector(x, name: str = "vector", size: int | None = None) -> np.ndarray:
+    """Coerce to a finite 1-D float64 array, of size entries when size is
+    given: the package's one point check."""
+    v = _as_real_array(x, name, 1)
+    if size is not None and v.size != size:
+        raise DimensionError(f"{name} has dimension {v.size}, expected {size}", field=name)
+    return v
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:

@@ -19,8 +19,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .errors import DimensionError
-from .fractional import (FractionalObjective, _check_denominator, _dinkelbach, _response,
-                         best_response_residual)
+from .fractional import _check_denominator, _dinkelbach, _ratio, _response, best_response_residual
 from .linalg import as_matrix, as_real, as_vector
 from .sets import BoxSet
 
@@ -89,9 +88,11 @@ def affine_vi_instance(M, r, box: BoxSet) -> AffineFractionalInstance:
 
 def fractional_value(inst: AffineFractionalInstance, x, y) -> float:
     """f(x, y) = phi_x(y) - phi_x(x) for the affine-fractional bifunction,
-    with phi_x the response objective at x; f(x, x) = 0."""
+    with phi_x the response objective at x; f(x, x) = 0.  A response that
+    overflowed raises InputError naming p or q."""
     p, q, phi = _response(inst, x)
-    return FractionalObjective(p, q, inst.c, inst.d)(y) - phi
+    p, q = as_vector(p, "p"), as_real(q, "q")
+    return _ratio(p, q, inst.c, inst.d, as_vector(y, "y", inst.box.dim)) - phi
 
 
 def fractional_diagonal_subgradient(inst: AffineFractionalInstance, x) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import InputError
 from .linalg import as_vector
 
 
@@ -20,11 +20,9 @@ class BoxSet:
 
     def __post_init__(self):
         lo = as_vector(self.lo, "lo")
-        hi = as_vector(self.hi, "hi")
-        if lo.shape != hi.shape:
-            raise DimensionError("lo and hi must have the same dimension")
+        hi = as_vector(self.hi, "hi", lo.size)
         if np.any(lo > hi):
-            raise ValueError("box requires lo <= hi componentwise")
+            raise InputError("box requires lo <= hi componentwise", field="lo")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -41,15 +39,8 @@ class BoxSet:
         return 0.5 * (self.lo + self.hi)
 
     def project(self, x) -> np.ndarray:
-        v = self._check(x)
-        return np.clip(v, self.lo, self.hi)
+        return np.clip(as_vector(x, "x", self.dim), self.lo, self.hi)
 
     def contains(self, x) -> bool:
-        v = self._check(x)
+        v = as_vector(x, "x", self.dim)
         return bool(np.all(v >= self.lo) and np.all(v <= self.hi))
-
-    def _check(self, x) -> np.ndarray:
-        v = as_vector(x, "x")
-        if v.size != self.dim:
-            raise DimensionError(f"x has dimension {v.size}, set has {self.dim}")
-        return v

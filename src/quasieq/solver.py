@@ -100,16 +100,16 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
 
     feasible_set must equal the oracle's box (a BoxSet with the same
     bounds); any other set raises ConfigurationError, or DimensionError
-    when its dimension differs.  The start point is projected onto the
-    box first.  Every completed projection step appends an
-    IterationRecord; under ng2 the record also carries the residual
-    -min_y f(x_k, y) evaluated at x_k before the step.  final_residual is
-    always the residual at x_final: when ng2 stops before stepping it is
-    the last probe's, otherwise (every ng1 stop, and ng2 at max_iter) it
-    is one oracle.residual(x_final) call.  elapsed_seconds spans the
-    whole call: the feasible-set checks, the iterations and that final
-    residual.  A subgradient norm or ng2 residual that is not finite
-    raises DomainError naming the iteration.
+    when its dimension differs.  x0, checked as a vector of the box's
+    dimension, is projected onto the box first.  Every completed
+    projection step appends an IterationRecord; under ng2 the record
+    also carries the residual -min_y f(x_k, y) evaluated at x_k before
+    the step.  final_residual is always the residual at x_final: when
+    ng2 stops before stepping it is the last probe's, otherwise (every
+    ng1 stop, and ng2 at max_iter) it is one oracle.residual(x_final)
+    call.  elapsed_seconds spans the whole call: the feasible-set checks,
+    the iterations and that final residual.  A subgradient norm or ng2
+    residual that is not finite raises DomainError naming the iteration.
     """
     start = time.perf_counter()
     box = oracle.box
@@ -127,7 +127,7 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
     lo, hi = box.lo, box.hi
     ng2 = config.variant == "ng2"
 
-    x = box.project(box.center if x0 is None else x0)
+    x = box.project(box.center if x0 is None else as_vector(x0, "x0", box.dim))
 
     trace = []
     response = None  # ng2: the last best response, where the next probe starts
@@ -194,19 +194,17 @@ def fejer_audit(trace, z, x_final=None) -> bool:
 
     over consecutive trace records (g_k is the stored unit subgradient).
     When x_final is given, the last record's step into x_final is audited
-    too.  A trace with fewer than two records and no x_final is vacuously
-    true.
+    too.  z and x_final must have the trace's dimension; a trace with
+    fewer than two records and no x_final is otherwise vacuously true.
     """
-    z = as_vector(z, "z")
+    n = trace[-1].x.size if trace else None
+    z = as_vector(z, "z", n)
     pairs = [(trace[i], trace[i + 1].x) for i in range(len(trace) - 1)]
     if x_final is not None and trace:
-        x_final = as_vector(x_final, "x_final")
-        if x_final.size != trace[-1].x.size:
-            raise DimensionError("x_final dimension does not match trace")
-        pairs.append((trace[-1], x_final))
+        pairs.append((trace[-1], as_vector(x_final, "x_final", n)))
     for rec, x_next in pairs:
-        if rec.x.size != z.size:
-            raise DimensionError("z dimension does not match trace")
+        if rec.x.size != n:
+            raise DimensionError("trace records differ in dimension", field="trace")
         lhs = float(np.sum((x_next - z) ** 2))
         rhs = (
             float(np.sum((rec.x - z) ** 2))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from quasieq.errors import DimensionError, DomainError
-from quasieq.fractional import FractionalObjective, _minimizing_vertex
+from quasieq.fractional import _minimizing_vertex, _ratio
 from quasieq.linalg import as_vector
 from quasieq.sets import BoxSet
 
@@ -25,10 +25,10 @@ def minimize_linear_over_box(w, box: BoxSet) -> tuple[np.ndarray, float]:
 
 
 def grid_bruteforce_minimize(
-    obj: FractionalObjective, box: BoxSet, points_per_axis: int
+    p, q, c, d, box: BoxSet, points_per_axis: int
 ) -> tuple[np.ndarray, float]:
-    """Exhaustive minimization over a uniform grid including both box
-    endpoints.  Only for dimension <= 3."""
+    """Exhaustive minimization of (p'y + q)/(c'y + d) over a uniform grid
+    including both box endpoints.  Only for dimension <= 3."""
     if box.dim > 3:
         raise DimensionError("grid brute force supports dimension <= 3 only")
     if points_per_axis < 2:
@@ -39,8 +39,8 @@ def grid_bruteforce_minimize(
     ]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
-    numer = pts @ obj.p + obj.q
-    denom = pts @ obj.c + obj.d
+    numer = pts @ np.asarray(p, dtype=float) + q
+    denom = pts @ np.asarray(c, dtype=float) + d
     if np.any(denom <= 0.0):
         raise DomainError("denominator is not positive on the grid")
     vals = numer / denom
@@ -48,14 +48,15 @@ def grid_bruteforce_minimize(
     return pts[best].copy(), float(vals[best])
 
 
-def chain_minimize(obj: FractionalObjective, box: BoxSet) -> tuple[np.ndarray, float]:
-    """Least ratio over the vertices that minimize (p - alpha c)'y for some
+def chain_minimize(p, q, c, d, box: BoxSet) -> tuple[np.ndarray, float]:
+    """Least ratio (p'y + q)/(c'y + d), computed as the package computes
+    it, over the vertices that minimize (p - alpha c)'y for some
     alpha: the minimizing vertex, under both tie-breaks, at every
     breakpoint p_i/c_i, at the midpoints between consecutive breakpoints
     and beyond both ends.  The minimum over the box is attained at one of
     them, since at the optimal ratio alpha* every minimizer of
     (p - alpha* c)'y is optimal."""
-    p, c = obj.p, obj.c
+    p, c = np.asarray(p, dtype=float), np.asarray(c, dtype=float)
     moving = c != 0.0
     breaks = np.unique(p[moving] / c[moving])
     if breaks.size:
@@ -67,7 +68,7 @@ def chain_minimize(obj: FractionalObjective, box: BoxSet) -> tuple[np.ndarray, f
     for alpha in alphas:
         w = p - alpha * c
         for y in (np.where(w < 0.0, box.hi, box.lo), np.where(w <= 0.0, box.hi, box.lo)):
-            value = obj.ratio(y)
+            value = _ratio(p, q, c, d, y)
             if value < best:
                 best_y, best = y, value
     return best_y, best

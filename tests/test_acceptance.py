@@ -23,11 +23,7 @@ import numpy as np
 import pytest
 
 from quasieq.bench import run_benchmark
-from quasieq.fractional import (
-    best_response_residual,
-    dinkelbach_minimize,
-    response_objective,
-)
+from quasieq.fractional import best_response_residual, dinkelbach_minimize
 from quasieq.generator import GeneratorConfig, generate_instances
 from quasieq.monotonicity import check_paramonotone
 from quasieq.oracles import (
@@ -128,9 +124,11 @@ def test_04_dinkelbach_vs_bruteforce():
     ok = True
     for inst in instances:
         x = point_rng.uniform(1.0, 3.0, size=2)
-        obj = response_objective(inst, x)
-        result = dinkelbach_minimize(obj, inst.box)
-        _, grid_val = grid_bruteforce_minimize(obj, inst.box, points_per_axis=401)
+        # the response objective at x, formed here: p = A1'(Ax + b), q = b1'(Ax + b)
+        u = inst.A @ x + inst.b
+        objective = (inst.A1.T @ u, float(inst.b1 @ u), inst.c, inst.d)
+        result = dinkelbach_minimize(*objective, inst.box)
+        _, grid_val = grid_bruteforce_minimize(*objective, inst.box, points_per_axis=401)
         gap = abs(result.value - grid_val)
         worst_gap = max(worst_gap, gap)
         worst_iters = max(worst_iters, result.iterations)

@@ -11,11 +11,11 @@ from quasieq import fractional
 from quasieq.cli import main
 from quasieq.errors import DimensionError, DomainError, InputError
 from quasieq.fractional import (
-    FractionalObjective,
     _dinkelbach,
+    _ratio,
+    _response,
     best_response_residual,
     dinkelbach_minimize,
-    response_objective,
 )
 from quasieq.generator import GeneratorConfig, generate_instances
 from quasieq.oracles import AffineFractionalInstance, affine_vi_instance, fractional_value
@@ -40,8 +40,16 @@ def _vertex_min(w, box):
     return best
 
 
-def _recorded_ratios(obj, box):
-    """dinkelbach_minimize's result and every ratio it computed, in order."""
+def _response_objective(inst, x):
+    """(p, q, c, d) of the response objective of inst at x, formed here
+    from p = A1'(Ax + b) and q = b1'(Ax + b)."""
+    u = inst.A @ x + inst.b
+    return inst.A1.T @ u, float(inst.b1 @ u), inst.c, inst.d
+
+
+def _recorded_ratios(objective, box):
+    """dinkelbach_minimize's result on objective = (p, q, c, d) and every
+    ratio it computed, in order."""
     ratios = []
 
     def recording(*args):
@@ -50,7 +58,7 @@ def _recorded_ratios(obj, box):
 
     ratio, fractional._ratio = fractional._ratio, recording
     try:
-        res = dinkelbach_minimize(obj, box)
+        res = dinkelbach_minimize(*objective, box)
     finally:
         fractional._ratio = ratio
     return res, ratios
@@ -90,59 +98,81 @@ class TestLinearMinimization:
 
 
 class TestFractionalObjective:
+    """The affine-fractional objective y |-> (p'y + q)/(c'y + d) is plain
+    arrays; its checks sit at the two public entries that evaluate it:
+    fractional_value, on the response objective of an instance at x, and
+    dinkelbach_minimize, on any (p, q, c, d)."""
+
+    @staticmethod
+    def _instance():
+        # at x = 1: u = Ax + b = 1, p = A1'u = 1 and q = b1'u = 1, so
+        # phi_1(y) = (y + 1)/(y + 2)
+        return AffineFractionalInstance(A=[[1.0]], b=[0.0], A1=[[1.0]], b1=[1.0], c=[1.0],
+                                        d=2.0, box=BoxSet.uniform(1, 1.0, 3.0))
+
     def test_evaluation(self):
-        obj = FractionalObjective(p=[1.0], q=1.0, c=[1.0], d=2.0)
-        assert obj(np.array([1.0])) == pytest.approx(2.0 / 3.0)
+        inst = self._instance()
+        # phi_1(3) - phi_1(1) = 4/5 - 2/3
+        assert fractional_value(inst, [1.0], np.array([3.0])) == pytest.approx(0.8 - 2.0 / 3.0)
 
     def test_rejects_nonpositive_denominator(self):
-        obj = FractionalObjective(p=[1.0], q=0.0, c=[1.0], d=0.0)
+        # c'y + d = y + 2 vanishes at y = -2, outside the box
         with pytest.raises(DomainError):
-            obj(np.array([-1.0]))
+            fractional_value(self._instance(), [1.0], np.array([-2.0]))
 
     def test_dimension_mismatch(self):
-        obj = FractionalObjective(p=[1.0, 2.0], q=0.0, c=[1.0, 1.0], d=1.0)
-        with pytest.raises(DimensionError):
-            obj(np.array([1.0]))
+        with pytest.raises(DimensionError) as info:
+            fractional_value(self._instance(), [1.0], np.array([1.0, 2.0]))
+        assert info.value.field == "y"
 
     @pytest.mark.parametrize("q, d", [
         (np.inf, 1.0), (np.nan, 1.0), (0.0, np.inf), (0.0, -np.inf), (0.0, np.nan),
         (0.0, "2"), (True, 1.0),
     ])
     def test_rejects_non_finite_constants(self, q, d):
-        with pytest.raises(ValueError, match="must be finite"):
-            FractionalObjective(p=[1.0], q=q, c=[1.0], d=d)
+        with pytest.raises(InputError, match="must be finite") as info:
+            dinkelbach_minimize([1.0], q, [1.0], d, BoxSet.uniform(1, 1.0, 3.0))
+        assert info.value.field == ("d" if q == 0.0 else "q")
+
+    @pytest.mark.parametrize("field", ["p", "c"])
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], ["1"]], ids=["nan", "inf", "text"])
+    def test_rejects_non_finite_vectors(self, field, bad):
+        coefficients = {"p": [1.0], "q": 0.0, "c": [1.0], "d": 2.0, field: bad}
+        with pytest.raises(InputError) as info:
+            dinkelbach_minimize(**coefficients, box=BoxSet.uniform(1, 1.0, 3.0))
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("field", ["p", "c"])
+    def test_rejects_vectors_of_other_dimension(self, field):
+        coefficients = {"p": [1.0], "q": 0.0, "c": [0.0], "d": 2.0, field: [1.0, 0.0]}
+        with pytest.raises(DimensionError) as info:
+            dinkelbach_minimize(**coefficients, box=BoxSet.uniform(1, 1.0, 3.0))
+        assert info.value.field == field
 
 
 class TestDinkelbach:
     def test_increasing_ratio(self):
         # (y + 1)/(y + 2) increases on [1, 3]; minimum 2/3 at y = 1
-        obj = FractionalObjective(p=[1.0], q=1.0, c=[1.0], d=2.0)
-        res = dinkelbach_minimize(obj, BoxSet.uniform(1, 1.0, 3.0))
+        res = dinkelbach_minimize([1.0], 1.0, [1.0], 2.0, BoxSet.uniform(1, 1.0, 3.0))
         np.testing.assert_allclose(res.y, [1.0], atol=1e-9)
         assert res.value == pytest.approx(2.0 / 3.0, abs=1e-9)
 
     def test_decreasing_ratio(self):
         # (3 - y)/(1 + y) decreases on [1, 3]; minimum 0 at y = 3
-        obj = FractionalObjective(p=[-1.0], q=3.0, c=[1.0], d=1.0)
-        res = dinkelbach_minimize(obj, BoxSet.uniform(1, 1.0, 3.0))
+        res = dinkelbach_minimize([-1.0], 3.0, [1.0], 1.0, BoxSet.uniform(1, 1.0, 3.0))
         np.testing.assert_allclose(res.y, [3.0], atol=1e-9)
         assert res.value == pytest.approx(0.0, abs=1e-9)
 
     def test_constant_ratio(self):
-        obj = FractionalObjective(p=[0.0], q=1.0, c=[0.0], d=2.0)
-        res = dinkelbach_minimize(obj, BoxSet.uniform(1, 1.0, 3.0))
+        res = dinkelbach_minimize([0.0], 1.0, [0.0], 2.0, BoxSet.uniform(1, 1.0, 3.0))
         assert res.value == pytest.approx(0.5)
         np.testing.assert_array_equal(res.y, [1.0])
 
     def test_alphas_nonincreasing(self, rng):
         box = BoxSet.uniform(3, 1.0, 3.0)
         for _ in range(20):
-            obj = FractionalObjective(
-                p=rng.uniform(-1, 1, size=3),
-                q=rng.uniform(-1, 1),
-                c=rng.uniform(0, 1, size=3),
-                d=4.0,
-            )
+            obj = (rng.uniform(-1, 1, size=3), rng.uniform(-1, 1),
+                   rng.uniform(0, 1, size=3), 4.0)
             res, ratios = _recorded_ratios(obj, box)
             # one ratio per round, and the start's; the last round's does not fall
             assert len(ratios) == res.iterations + 1
@@ -156,43 +186,35 @@ class TestDinkelbach:
         # minimizing (p - alpha c)'y has a ratio not below alpha, so F(alpha) >= 0
         box = BoxSet.uniform(2, 1.0, 3.0)
         for _ in range(10):
-            obj = FractionalObjective(
-                p=rng.uniform(-1, 1, size=2),
-                q=rng.uniform(0, 1),
-                c=rng.uniform(0, 1, size=2),
-                d=3.0,
-            )
-            res = dinkelbach_minimize(obj, box)
-            assert obj.ratio(res.y) == res.value
-            y, _ = minimize_linear_over_box(obj.p - res.value * obj.c, box)
-            assert obj.ratio(y) >= res.value
+            p, q, c, d = (rng.uniform(-1, 1, size=2), rng.uniform(0, 1),
+                          rng.uniform(0, 1, size=2), 3.0)
+            res = dinkelbach_minimize(p, q, c, d, box)
+            assert _ratio(p, q, c, d, res.y) == res.value
+            y, _ = minimize_linear_over_box(p - res.value * c, box)
+            assert _ratio(p, q, c, d, y) >= res.value
 
     def test_minimizer_is_feasible(self, rng):
         box = BoxSet.uniform(2, 1.0, 3.0)
-        obj = FractionalObjective(
-            p=rng.uniform(-1, 1, size=2), q=0.5, c=rng.uniform(0, 1, size=2), d=2.0
-        )
-        res = dinkelbach_minimize(obj, box)
+        p, c = rng.uniform(-1, 1, size=2), rng.uniform(0, 1, size=2)
+        res = dinkelbach_minimize(p, 0.5, c, 2.0, box)
         assert box.contains(res.y)
 
     def test_rejects_objective_of_other_dimension(self):
-        obj = FractionalObjective(p=[1.0, 0.0], q=1.0, c=[0.0, 1.0], d=2.0)
-        with pytest.raises(DimensionError):
-            dinkelbach_minimize(obj, BoxSet.uniform(1, 1.0, 3.0))
+        with pytest.raises(DimensionError) as info:
+            dinkelbach_minimize([1.0, 0.0], 1.0, [0.0, 1.0], 2.0, BoxSet.uniform(1, 1.0, 3.0))
+        assert info.value.field == "p"
 
     def test_rejects_nonpositive_denominator_at_center(self):
         # c'y + d = 2 - y vanishes at the center y = 2 of [1, 3]
-        obj = FractionalObjective(p=[1.0], q=0.0, c=[-1.0], d=2.0)
         with pytest.raises(DomainError):
-            dinkelbach_minimize(obj, BoxSet.uniform(1, 1.0, 3.0))
+            dinkelbach_minimize([1.0], 0.0, [-1.0], 2.0, BoxSet.uniform(1, 1.0, 3.0))
 
     def test_rejects_denominator_negative_away_from_visited_points(self):
         # c'y + d = 2.5 - y is positive at y = 1, where Dinkelbach would
         # start and stop with the value 2/3, but negative on (2.5, 3],
         # where y/(2.5 - y) is unbounded below
-        obj = FractionalObjective(p=[1.0], q=0.0, c=[-1.0], d=2.5)
         with pytest.raises(DomainError, match="over the box"):
-            dinkelbach_minimize(obj, BoxSet.uniform(1, 1.0, 3.0))
+            dinkelbach_minimize([1.0], 0.0, [-1.0], 2.5, BoxSet.uniform(1, 1.0, 3.0))
 
     def test_agrees_with_grid_on_random_problems(self):
         cfg = GeneratorConfig(n=2, count=10, seed=4242)
@@ -200,9 +222,9 @@ class TestDinkelbach:
         point_rng = np.random.default_rng(4242)
         for inst in instances:
             x = point_rng.uniform(1.0, 3.0, size=2)
-            obj = response_objective(inst, x)
-            res = dinkelbach_minimize(obj, inst.box)
-            _, grid_val = grid_bruteforce_minimize(obj, inst.box, points_per_axis=401)
+            obj = _response_objective(inst, x)
+            res = dinkelbach_minimize(*obj, inst.box)
+            _, grid_val = grid_bruteforce_minimize(*obj, inst.box, points_per_axis=401)
             assert abs(res.value - grid_val) <= 1e-3
             assert res.iterations <= 20
 
@@ -231,16 +253,17 @@ def _objective_on_box(rng, kind, n):
     if kind == "spread":
         margin = 1e-6 * float(np.abs(c) @ np.abs(y_den))
     d = 1.0 + margin - float(c @ y_den)
-    return FractionalObjective(p=p, q=q, c=c, d=d), box
+    return (p, q, c, d), box
 
 
 def _ratio_rounding_bound(obj, y):
-    """First-order bound on the rounding error of obj.ratio(y): two sums
-    of n + 1 terms and one division."""
-    terms = obj.p.size + 1
-    den, ratio = float(obj.c @ y) + obj.d, obj.ratio(y)
-    num_abs = float(np.abs(obj.p) @ np.abs(y)) + abs(obj.q)
-    den_abs = float(np.abs(obj.c) @ np.abs(y)) + abs(obj.d)
+    """First-order bound on the rounding error of the ratio of
+    obj = (p, q, c, d) at y: two sums of n + 1 terms and one division."""
+    p, q, c, d = obj
+    terms = p.size + 1
+    den, ratio = float(c @ y) + d, _ratio(p, q, c, d, y)
+    num_abs = float(np.abs(p) @ np.abs(y)) + abs(q)
+    den_abs = float(np.abs(c) @ np.abs(y)) + abs(d)
     return 0.5 * np.finfo(float).eps * (terms * (num_abs + abs(ratio) * den_abs) / den
                                         + abs(ratio))
 
@@ -252,8 +275,8 @@ class TestExactStoppingRule:
         for _ in range(300):
             n = int(rng.integers(1, 13))
             obj, box = _objective_on_box(rng, kind, n)
-            res = dinkelbach_minimize(obj, box)
-            assert res.value == chain_minimize(obj, box)[1]
+            res = dinkelbach_minimize(*obj, box)
+            assert res.value == chain_minimize(*obj, box)[1]
             assert res.iterations <= n + 2
 
     def test_spread_coefficients_within_rounding_bound(self):
@@ -261,8 +284,8 @@ class TestExactStoppingRule:
         for _ in range(300):
             n = int(rng.integers(1, 40))
             obj, box = _objective_on_box(rng, "spread", n)
-            res = dinkelbach_minimize(obj, box)
-            chain_y, chain_value = chain_minimize(obj, box)
+            res = dinkelbach_minimize(*obj, box)
+            chain_y, chain_value = chain_minimize(*obj, box)
             bound = _ratio_rounding_bound(obj, res.y) + _ratio_rounding_bound(obj, chain_y)
             assert abs(res.value - chain_value) <= bound
             assert res.iterations <= n + 2
@@ -270,7 +293,7 @@ class TestExactStoppingRule:
     def test_spread_instance_best_response_returns(self):
         inst = parse_instance_file(SPREAD_N7)
         x = inst.box.center
-        res = dinkelbach_minimize(response_objective(inst, x), inst.box)
+        res = dinkelbach_minimize(*_response_objective(inst, x), inst.box)
         assert res.iterations <= inst.dim + 2
         y, residual = best_response_residual(inst, x)
         np.testing.assert_array_equal(y, res.y)
@@ -293,8 +316,7 @@ class TestOverflowedResponse:
                                         b1=np.ones(2), c=np.zeros(2), d=1.0,
                                         box=BoxSet.uniform(2, 1.0, 3.0))
         x = inst.box.center
-        for evaluate in (best_response_residual, response_objective,
-                         lambda inst, x: fractional_value(inst, x, x)):
+        for evaluate in (best_response_residual, lambda inst, x: fractional_value(inst, x, x)):
             with pytest.raises(InputError, match="p contains non-finite entries") as info:
                 evaluate(inst, x)
             assert info.value.field == "p"
@@ -312,14 +334,14 @@ class TestWarmStart:
         for _ in range(40):
             n = int(rng.integers(1, 7))
             obj, box = _objective_on_box(rng, kind, n)
-            zero_in_p += bool(np.any(obj.p == 0.0))  # ties w_i = 0 at alpha = 0
-            cold = dinkelbach_minimize(obj, box).value
-            chain = chain_minimize(obj, box)[1]
+            zero_in_p += bool(np.any(obj[0] == 0.0))  # ties w_i = 0 at alpha = 0
+            cold = dinkelbach_minimize(*obj, box).value
+            chain = chain_minimize(*obj, box)[1]
             for corner in itertools.product(*zip(box.lo, box.hi)):
-                warm = _dinkelbach(obj.p, obj.q, obj.c, obj.d, box, np.array(corner))
+                warm = _dinkelbach(*obj, box, np.array(corner))
                 assert warm.value == pytest.approx(cold, rel=1e-12, abs=0.0)
                 assert warm.value == pytest.approx(chain, rel=1e-12, abs=0.0)
-                assert obj.ratio(warm.y) == warm.value
+                assert _ratio(*obj, warm.y) == warm.value
                 assert warm.iterations <= n + 2
         if kind in ("integer", "c-zero"):
             assert zero_in_p > 0
@@ -327,30 +349,27 @@ class TestWarmStart:
 
 class TestGridBruteforce:
     def test_includes_endpoints(self):
-        obj = FractionalObjective(p=[-1.0], q=3.0, c=[1.0], d=1.0)
-        y, val = grid_bruteforce_minimize(obj, BoxSet.uniform(1, 1.0, 3.0), 11)
+        y, val = grid_bruteforce_minimize([-1.0], 3.0, [1.0], 1.0, BoxSet.uniform(1, 1.0, 3.0), 11)
         np.testing.assert_array_equal(y, [3.0])
         assert val == pytest.approx(0.0)
 
     def test_rejects_high_dimension(self):
-        obj = FractionalObjective(p=np.zeros(4), q=1.0, c=np.zeros(4), d=1.0)
         with pytest.raises(DimensionError):
-            grid_bruteforce_minimize(obj, BoxSet.uniform(4, 1.0, 3.0), 5)
+            grid_bruteforce_minimize(np.zeros(4), 1.0, np.zeros(4), 1.0,
+                                     BoxSet.uniform(4, 1.0, 3.0), 5)
 
     def test_rejects_too_few_points(self):
-        obj = FractionalObjective(p=[1.0], q=0.0, c=[0.0], d=1.0)
         with pytest.raises(ValueError):
-            grid_bruteforce_minimize(obj, BoxSet.uniform(1, 1.0, 3.0), 1)
+            grid_bruteforce_minimize([1.0], 0.0, [0.0], 1.0, BoxSet.uniform(1, 1.0, 3.0), 1)
 
 
 class TestBestResponse:
     def test_response_objective_coefficients(self, e1):
-        obj = response_objective(e1, np.array([1.0]))
-        # u = Ax + b = [2]; p = A1^T u = [2]; q = b1^T u = 0
-        np.testing.assert_array_equal(obj.p, [2.0])
-        assert obj.q == 0.0
-        np.testing.assert_array_equal(obj.c, [1.0])
-        assert obj.d == 1.0
+        p, q, phi = _response(e1, np.array([1.0]))
+        # u = Ax + b = [2]; p = A1^T u = [2]; q = b1^T u = 0; phi_1(1) = 2/2
+        np.testing.assert_array_equal(p, [2.0])
+        assert q == 0.0
+        assert phi == 1.0
 
     def test_residual_zero_at_solution(self, e1):
         _, residual = best_response_residual(e1, np.array([1.0]))
@@ -370,7 +389,7 @@ class TestBestResponse:
             assert residual >= -1e-12
 
     @pytest.mark.parametrize("entry", [
-        lambda inst, x: dinkelbach_minimize(response_objective(inst, x), inst.box),
+        lambda inst, x: dinkelbach_minimize(*_response_objective(inst, x), inst.box),
         best_response_residual,
     ], ids=["dinkelbach_minimize", "best_response_residual"])
     def test_public_entries_check_the_denominator(self, entry):
@@ -408,5 +427,5 @@ class TestBestResponse:
             )
             for _ in range(10):
                 x = rng.uniform(1.0, 3.0, size=n)
-                result = dinkelbach_minimize(response_objective(vi, x), vi.box)
+                result = dinkelbach_minimize(*_response_objective(vi, x), vi.box)
                 assert result.iterations == 1

@@ -46,6 +46,13 @@ class TestConversions:
         with pytest.raises(ValueError):
             as_vector([1.0, np.nan])
 
+    def test_vector_of_given_size(self):
+        np.testing.assert_array_equal(as_vector([1, 2], "x", 2), [1.0, 2.0])
+        for value in ([1.0], [1.0, 2.0, 3.0], []):
+            with pytest.raises(DimensionError, match="x has dimension") as err:
+                as_vector(value, "x", 2)
+            assert err.value.field == "x"
+
     def test_matrix_rejects_vector(self):
         with pytest.raises(DimensionError):
             as_matrix([1.0, 2.0])

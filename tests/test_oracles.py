@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quasieq.errors import DimensionError, DomainError
-from quasieq.fractional import best_response_residual, response_objective
+from quasieq.fractional import best_response_residual
 from quasieq.generator import GeneratorConfig, generate_instances
 from quasieq.oracles import (
     AffineFractionalInstance,
@@ -275,9 +275,8 @@ class TestPointCheck:
         fractional_diagonal_subgradient,
         lambda inst, x: fractional_value(inst, x, inst.box.center),
         best_response_residual,
-        response_objective,
     ], ids=["probe", "residual", "diagonal_subgradient", "fractional_diagonal_subgradient",
-            "fractional_value", "best_response_residual", "response_objective"])
+            "fractional_value", "best_response_residual"])
     @pytest.mark.parametrize("size", [2, 4])
     def test_wrong_size_names_x(self, evaluate, size):
         inst = generate_instances(GeneratorConfig(n=3, count=1, seed=5))[0]
@@ -287,6 +286,9 @@ class TestPointCheck:
 
     def test_response_objective_needs_a_positive_denominator_at_x(self, e1):
         # c'x + d = x + 1: f(x, .) is undefined at x = -1 and below
-        for x in ([-1.0], [-2.0]):
-            with pytest.raises(DomainError):
-                response_objective(e1, np.array(x))
+        for evaluate in (best_response_residual, fractional_diagonal_subgradient,
+                         lambda inst, x: fractional_value(inst, x, inst.box.center),
+                         lambda inst, x: AffineFractionalOracle(inst).probe(x)):
+            for x in ([-1.0], [-2.0]):
+                with pytest.raises(DomainError):
+                    evaluate(e1, np.array(x))

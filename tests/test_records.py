@@ -7,7 +7,6 @@ import pytest
 from quasieq import (
     AffineFractionalOracle,
     BoxSet,
-    FractionalObjective,
     GeneratorConfig,
     SolverConfig,
     check_paramonotone,
@@ -22,15 +21,13 @@ def _record_pairs():
     def build():
         inst = generate_instances(GeneratorConfig(n=2, count=1, seed=7))[0]
         oracle = AffineFractionalOracle(inst)
-        objective = FractionalObjective(p=[1.0, -1.0], q=0.5, c=[0.0, 1.0], d=2.0)
         report = normal_subgradient_solve(oracle, inst.box,
                                           SolverConfig(variant="ng2", max_iter=3))
         return {
             "BoxSet": BoxSet.uniform(2, 1.0, 3.0),
             "AffineFractionalInstance": inst,
             "AffineFractionalOracle": oracle,
-            "FractionalObjective": objective,
-            "DinkelbachResult": dinkelbach_minimize(objective, inst.box),
+            "DinkelbachResult": dinkelbach_minimize([1.0, -1.0], 0.5, [0.0, 1.0], 2.0, inst.box),
             "IterationRecord": report.trace[0],
             "SolveReport": report,
             "ParamonotonicityReport": check_paramonotone(inst),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasieq.errors import DimensionError
+from quasieq.errors import DimensionError, InputError
 from quasieq.sets import BoxSet
 
 
@@ -42,8 +42,9 @@ class TestBoxSet:
         np.testing.assert_array_equal(box.hi, [3.0, 3.0, 3.0])
 
     def test_rejects_crossed_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError) as info:
             BoxSet([2.0], [1.0])
+        assert info.value.field == "lo"
 
     @pytest.mark.parametrize("make", [
         lambda: BoxSet(["1"], ["3"]), lambda: BoxSet([True], [3.0]),
@@ -54,8 +55,10 @@ class TestBoxSet:
             make()
 
     def test_rejects_mismatched_bounds(self):
-        with pytest.raises(DimensionError):
-            BoxSet([0.0, 1.0], [2.0])
+        for lo, hi in (([0.0, 1.0], [2.0]), ([1, 2], [3])):
+            with pytest.raises(DimensionError) as info:
+                BoxSet(lo, hi)
+            assert info.value.field == "hi"
 
     def test_project_interior_point_unchanged(self):
         box = BoxSet.uniform(2, 1.0, 3.0)
@@ -72,8 +75,10 @@ class TestBoxSet:
 
     def test_project_dimension_mismatch(self):
         box = BoxSet.uniform(2, 1.0, 3.0)
-        with pytest.raises(DimensionError):
-            box.project(np.array([1.0]))
+        for check in (box.project, box.contains):
+            with pytest.raises(DimensionError) as info:
+                check(np.array([1.0]))
+            assert info.value.field == "x"
 
     @given(_boxes())
     @settings(max_examples=80)

@@ -267,9 +267,17 @@ class TestSolverGuards:
             )
 
     def test_rejects_text_start_point(self, e1):
-        with pytest.raises(ValueError, match="x entries must be real numbers"):
+        with pytest.raises(ValueError, match="x0 entries must be real numbers") as info:
             normal_subgradient_solve(AffineFractionalOracle(e1), e1.box, SolverConfig(),
                                      x0=["2"])
+        assert info.value.field == "x0"
+
+    def test_start_point_of_other_dimension_names_x0(self):
+        inst = generate_instances(GeneratorConfig(n=3, count=1, seed=5))[0]
+        with pytest.raises(DimensionError, match="x0") as info:
+            normal_subgradient_solve(AffineFractionalOracle(inst), inst.box, SolverConfig(),
+                                     x0=[1.0, 2.0])
+        assert info.value.field == "x0"
 
     def test_rejects_set_that_is_not_a_box(self, e1):
         class ClipSet:
@@ -406,6 +414,16 @@ class TestAudits:
         )
         with pytest.raises(DimensionError):
             fejer_audit([rec], np.zeros(1), np.zeros(2))
+
+    def test_fejer_audit_checks_z_against_a_single_record(self):
+        # one record and no x_final audits no step, but z must still fit the trace
+        rec = IterationRecord(
+            k=0, x=np.zeros(3), g_raw_norm=1.0, g_unit=np.ones(3),
+            alpha=0.1, step_norm=0.0,
+        )
+        with pytest.raises(DimensionError) as info:
+            fejer_audit([rec], np.zeros(7))
+        assert info.value.field == "z"
 
     @pytest.mark.parametrize("x_final", [[0.0], [0.0, 0.0, 0.0]], ids=["shorter", "longer"])
     def test_fejer_audit_x_final_dimension_mismatch(self, x_final):
