@@ -22,12 +22,15 @@ from .linalg import as_real, as_vector
 from .sets import BoxSet
 
 
-def _ratio(p: np.ndarray, q: float, c: np.ndarray, d: float, y: np.ndarray) -> float:
-    """(p'y + q)/(c'y + d), unchecked but for the sign of the denominator."""
-    den = float(c @ y) + d
+def _ratio(p: np.ndarray, q: float, c: np.ndarray, d: float, y: np.ndarray,
+           name: str = "y") -> float:
+    """(p'y + q)/(c'y + d), unchecked but for the sign of the denominator at
+    the point called name.  The solve path uses ndarray.dot, not `@`: the
+    same BLAS routine, so the same bytes, with about half the dispatch."""
+    den = float(c.dot(y)) + d
     if den <= 0.0:
-        raise DomainError(f"denominator {den:g} is not positive at y={y}")
-    return (float(p @ y) + q) / den
+        raise DomainError(f"denominator {den:g} is not positive at {name}={y}")
+    return (float(p.dot(y)) + q) / den
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,9 +98,9 @@ def _response(inst, x) -> tuple[np.ndarray, float, float]:
     that checks a point x: a finite vector of the instance's dimension
     with c'x + d > 0."""
     x = as_vector(x, "x", inst.box.dim)
-    u = inst.A @ x + inst.b
-    p, q = inst.A1.T @ u, float(inst.b1 @ u)
-    return p, q, _ratio(p, q, inst.c, inst.d, x)
+    u = inst.A.dot(x) + inst.b
+    p, q = inst.A1.T.dot(u), float(inst.b1.dot(u))
+    return p, q, _ratio(p, q, inst.c, inst.d, x, "x")
 
 
 def best_response_residual(inst, x) -> tuple[np.ndarray, float]:

@@ -95,12 +95,17 @@ def fractional_value(inst: AffineFractionalInstance, x, y) -> float:
     return _ratio(p, q, inst.c, inst.d, as_vector(y, "y", inst.box.dim)) - phi
 
 
+def _subgradient(inst: AffineFractionalInstance, p: np.ndarray, phi: float) -> np.ndarray:
+    """g = p - phi_x(x) c from the p and phi_x(x) that _response gives at x."""
+    return p - phi * inst.c
+
+
 def fractional_diagonal_subgradient(inst: AffineFractionalInstance, x) -> np.ndarray:
     """Unnormalized diagonal GP-subgradient g = p - phi_x(x) c of f(x, .)
     at x, from the response objective phi_x = (p'y + q)/(c'y + d).  The
     solver normalizes nonzero g."""
     p, _, phi = _response(inst, x)
-    return p - phi * inst.c
+    return _subgradient(inst, p, phi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,4 +131,4 @@ class AffineFractionalOracle:
         inst = self.instance
         p, q, phi = _response(inst, x)
         result = _dinkelbach(p, q, inst.c, inst.d, inst.box, start)
-        return p - phi * inst.c, phi - result.value + 0.0, result.y
+        return _subgradient(inst, p, phi), phi - result.value + 0.0, result.y

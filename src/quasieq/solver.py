@@ -141,7 +141,9 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
                 break
         else:
             g, residual = oracle.diagonal_subgradient(x), None
-        g_raw_norm = math.sqrt(g @ g)
+        # ndarray.dot and np.minimum(np.maximum(...)) make the same float
+        # operations as `@` and np.clip, with less dispatch per call
+        g_raw_norm = math.sqrt(g.dot(g))
         if not math.isfinite(g_raw_norm):
             raise DomainError(f"subgradient norm {g_raw_norm:g} is not finite at iterate {k}")
         if g_raw_norm <= TOL_ZERO_GRAD:
@@ -150,16 +152,16 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
 
         g_unit = g / g_raw_norm
         alpha = config.scale / (k + 1)
-        x_next = np.clip(x - alpha * g_unit, lo, hi)
+        x_next = np.minimum(np.maximum(x - alpha * g_unit, lo), hi)
         step = x_next - x
-        step_norm = math.sqrt(step @ step)
+        step_norm = math.sqrt(step.dot(step))
         if config.trace_keep is None:
             trace.append(IterationRecord(
                 k=k, x=x.copy(), g_raw_norm=g_raw_norm, g_unit=g_unit,
                 alpha=alpha, step_norm=step_norm, residual=residual,
             ))
 
-        if not step.any():
+        if step_norm == 0.0 and not step.any():  # a nonzero step's norm can underflow
             status = SolveStatus.FIXED_POINT
             break
         x, residual = x_next, None  # the probed residual was the old x's

@@ -292,3 +292,20 @@ class TestPointCheck:
             for x in ([-1.0], [-2.0]):
                 with pytest.raises(DomainError):
                     evaluate(e1, np.array(x))
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda inst, x: AffineFractionalOracle(inst).probe(x),
+        lambda inst, x: AffineFractionalOracle(inst).residual(x),
+        lambda inst, x: AffineFractionalOracle(inst).diagonal_subgradient(x),
+        fractional_diagonal_subgradient,
+        lambda inst, x: fractional_value(inst, x, inst.box.center),
+        best_response_residual,
+    ], ids=["probe", "residual", "diagonal_subgradient", "fractional_diagonal_subgradient",
+            "fractional_value", "best_response_residual"])
+    def test_nonpositive_denominator_names_x(self, e1, evaluate):
+        with pytest.raises(DomainError, match=r"at x=\[-2\.\]"):
+            evaluate(e1, np.array([-2.0]))
+
+    def test_nonpositive_denominator_at_y_names_y(self, e1):
+        with pytest.raises(DomainError, match=r"at y=\[-2\.\]"):
+            fractional_value(e1, np.array([2.0]), np.array([-2.0]))

@@ -2,10 +2,12 @@
 benchmark records in perfbench/reference.json, and the solver by the
 paper batch's (status, iterations) signature there and by three more
 batches' signatures in tests/data/solve_signatures.json.  That file also
-holds the final_residual and x_final of all four batches' solves.  These
-tests recompute them with the benchmark's own workload definitions, so a
-change to the seeded instances or to a solve fails here and not only in
-a benchmark run."""
+holds the final_residual and x_final of all four batches' solves, and
+tests/data/certificate_reports.json every report of the certificate
+workload's pool at three seeds.  These tests recompute them with the
+benchmark's own workload definitions, so a change to the seeded
+instances, a solve or a certificate fails here and not only in a
+benchmark run."""
 
 import importlib
 import json
@@ -13,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from quasieq import check_paramonotone
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
@@ -64,3 +68,34 @@ def test_batch_keeps_its_signature(workloads, name, seed):
             if diff.max(initial=0.0) > worst:
                 worst, where = float(diff.max()), f"{field} of solve {i} ({op.kind})"
     assert worst <= FINAL_RTOL, f"largest relative difference {worst:.3g}, in {where}"
+
+
+CERTIFICATES = json.loads((Path(__file__).parent / "data" / "certificate_reports.json").read_text())
+# min_eigenvalue, tol and the (Frobenius norm, entry sum) that stand for the
+# a_hat and a_hat_sym arrays: the bytes of LAPACK's spectra vary with the
+# build and the thread count, so each may differ from its pin by this much
+# relative to max(1, |pin|); verdict and ranks are compared exactly
+CERTIFICATE_RTOL = 1e-9
+
+
+@pytest.mark.parametrize("seed", [12345, 601, 602])
+def test_certificates_keep_their_reports(workloads, seed):
+    # every report of the certificate workload's pool batches at a seed
+    certificate = workloads.WORKLOADS["certificate"]
+    insts = [inst for j in range(certificate.pool)
+             for inst in certificate.setup(seed + j * workloads.SEED_STRIDE)]
+    pins = CERTIFICATES[str(seed)]
+    assert len(insts) == len(pins) == 8
+    for inst, pin in zip(insts, pins):
+        report = check_paramonotone(inst)
+        where = f"n={inst.dim}"
+        assert (inst.dim, report.verdict, report.rank_sym, report.rank_a_hat) == (
+            pin["n"], pin["verdict"], pin["rank_sym"], pin["rank_a_hat"]), where
+        got = {"min_eigenvalue": [report.min_eigenvalue], "tol": [report.tol],
+               "a_hat": [np.linalg.norm(report.a_hat), report.a_hat.sum()],
+               "a_hat_sym": [np.linalg.norm(report.a_hat_sym), report.a_hat_sym.sum()]}
+        for field, values in got.items():
+            pinned = np.atleast_1d(pin[field])
+            scale = np.maximum(1.0, np.abs(pinned[0]))  # a sum is judged against its norm
+            diff = float(np.max(np.abs(np.asarray(values) - pinned) / scale))
+            assert diff <= CERTIFICATE_RTOL, f"{field} at {where}: relative difference {diff:.3g}"

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -15,6 +16,7 @@ from quasieq.oracles import (AffineFractionalInstance, AffineFractionalOracle,
                              affine_vi_instance)
 from quasieq.sets import BoxSet
 from quasieq.solver import (
+    TOL_ZERO_GRAD,
     IterationRecord,
     SolveStatus,
     SolverConfig,
@@ -585,3 +587,99 @@ class TestGoldenPaperBatch:
                     assert report.final_residual == 0.0
         assert len(want) == 60
         assert got == want
+
+
+def _reference_probe(inst, x, start):
+    """(g, residual, y*) at x, written out with `@` from the response
+    formula and the Dinkelbach rounds from start (cold if None)."""
+    u = inst.A @ x + inst.b
+    p, q = inst.A1.T @ u, float(inst.b1 @ u)
+    c, d, box = inst.c, inst.d, inst.box
+    phi = (float(p @ x) + q) / (float(c @ x) + d)
+    y = np.where(p < 0.0, box.hi, box.lo) if start is None else start
+    alpha = (float(p @ y) + q) / (float(c @ y) + d)
+    while True:
+        y_next = np.where(p - alpha * c < 0.0, box.hi, box.lo)
+        alpha_next = (float(p @ y_next) + q) / (float(c @ y_next) + d)
+        if not alpha_next < alpha:
+            return p - phi * c, phi - alpha + 0.0, y
+        y, alpha = y_next, alpha_next
+
+
+def _reference_solve(inst, config):
+    """The solve loop with `@`, `np.clip` and `not step.any()`: (status,
+    iterations, x_final, final_residual, records as tuples)."""
+    box, ng2 = inst.box, config.variant == "ng2"
+    x = np.clip(box.center, box.lo, box.hi)
+    records, response = [], None
+    for k in range(config.max_iter):
+        g, residual, response = _reference_probe(inst, x, response if ng2 else None)
+        if not ng2:
+            residual = None
+        elif residual < config.tol_residual:
+            status = SolveStatus.RESIDUAL_BELOW_TOL
+            break
+        g_raw_norm = math.sqrt(g @ g)
+        if g_raw_norm <= TOL_ZERO_GRAD:
+            status = SolveStatus.ZERO_GRADIENT
+            break
+        g_unit = g / g_raw_norm
+        alpha = config.scale / (k + 1)
+        x_next = np.clip(x - alpha * g_unit, box.lo, box.hi)
+        step = x_next - x
+        step_norm = math.sqrt(step @ step)
+        records.append((k, x.copy(), g_raw_norm, g_unit, alpha, step_norm, residual))
+        if not step.any():
+            status = SolveStatus.FIXED_POINT
+            break
+        x, residual = x_next, None
+        if not ng2 and step_norm < config.tol_step:
+            status = SolveStatus.STEP_BELOW_TOL
+            break
+    else:
+        status = SolveStatus.MAX_ITER_REACHED
+    if residual is None:
+        residual = _reference_probe(inst, x, None)[1]
+    return status, k + 1, x, residual, records
+
+
+def _float_bytes(value):
+    return None if value is None else np.asarray(value, dtype=np.float64).tobytes()
+
+
+def _vi_instance(n, lo, hi):
+    rng = np.random.default_rng(n)
+    b = rng.uniform(-1.0, 1.0, size=(n, n))
+    return affine_vi_instance(M=np.eye(n) + b - b.T, r=rng.uniform(-2.0, 2.0, size=n),
+                              box=BoxSet.uniform(n, lo, hi))
+
+
+class TestFloatOperations:
+    """Every float of a solve, byte for byte, against the loop above: the
+    value pins compare within a tolerance, this compares bits.  The boxes
+    with a -0.0 bound put signed zeros into the iterates."""
+
+    @pytest.mark.parametrize("variant", ["ng1", "ng2"])
+    @pytest.mark.parametrize("make", [
+        lambda: generate_instances(GeneratorConfig(n=5, count=1, seed=12345))[0],
+        lambda: generate_instances(GeneratorConfig(n=20, count=1, seed=12345))[0],
+        lambda: generate_instances(GeneratorConfig(n=50, count=1, seed=12345))[0],
+        lambda: _vi_instance(6, 0.0, 1.0),
+        lambda: _vi_instance(6, -1.0, 0.0),
+        lambda: _vi_instance(6, -0.0, 1.0),
+        lambda: _vi_instance(6, -1.0, -0.0),
+    ], ids=["seeded-n5", "seeded-n20", "seeded-n50", "vi-0-1", "vi-minus1-0",
+            "vi-minus0-1", "vi-minus1-minus0"])
+    def test_solve_matches_the_reference_loop_bit_for_bit(self, make, variant):
+        inst = make()
+        config = SolverConfig(variant=variant, trace_keep=None)
+        report = normal_subgradient_solve(AffineFractionalOracle(inst), inst.box, config)
+        status, iterations, x_final, final_residual, records = _reference_solve(inst, config)
+        assert (report.status, report.iterations) == (status, iterations)
+        assert _float_bytes(report.x_final) == _float_bytes(x_final)
+        assert _float_bytes(report.final_residual) == _float_bytes(final_residual)
+        assert len(report.trace) == len(records)
+        for rec, want in zip(report.trace, records):
+            got = (rec.k, rec.x, rec.g_raw_norm, rec.g_unit, rec.alpha, rec.step_norm, rec.residual)
+            assert got[0] == want[0]
+            assert [_float_bytes(v) for v in got[1:]] == [_float_bytes(v) for v in want[1:]]
