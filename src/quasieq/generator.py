@@ -8,10 +8,12 @@ positive over the box are rejected; with require_paramonotone set, so
 are draws failing the paramonotonicity certificate, and each `uniforms`
 call then takes k whole candidates, as many as fit in the stream's
 smallest refill of 8,192 uniforms (292 at n = 3, 1 from n = 45 on);
-otherwise, where nearly every draw is accepted, k = 1.  A cheap LDL'
-screen rules out most of a block at once; every other draw, in stream
-order, is accepted only on the certificate's verdict, so the screen
-changes no instance, only the cost of finding it.  The stream is the
+otherwise, where nearly every draw is accepted, each call takes every
+draw still needed, up to _MAX_CALL uniforms, so a call that rejects
+nothing makes one refill.  A cheap LDL' screen rules out most of a
+block at once; every other draw, in stream order, is accepted only on
+the certificate's verdict, so the screen changes no instance, only the
+cost of finding it.  The stream is the
 call's own, so draws past the last accepted one are never seen.  More
 than MAX_REJECTIONS rejections in one call, counted draw by draw, raise
 GenerationError.  n, count and seed must be integers (not bools), the
@@ -31,6 +33,7 @@ from .rng import _LANE, _MIN_LANES, UniformStream
 from .sets import BoxSet
 
 MAX_REJECTIONS = 10000
+_MAX_CALL = 1 << 19  # most uniforms one plain `uniforms` call takes (4 MB)
 
 
 @dataclass(frozen=True)
@@ -72,11 +75,13 @@ def generate_instances(config: GeneratorConfig) -> list[AffineFractionalInstance
     stream = UniformStream(config.seed)
     box = BoxSet.uniform(n, config.box_low, config.box_high)
     per_draw, require = 2 * n * n + 3 * n + 1, config.require_paramonotone
-    # k = 1 for plain draws: refill-sized blocks overdraw (n = 20, count = 19: 3 refills, not 2)
-    k = max(1, _MIN_LANES * _LANE // per_draw) if require else 1
+    block = max(1, _MIN_LANES * _LANE // per_draw)  # the candidates one smallest refill holds
     instances: list[AffineFractionalInstance] = []
     rejections = 0
     while True:
+        # plain draws: every draw still needed, so that a call without
+        # rejections makes one refill and takes no draw past its last instance
+        k = block if require else max(1, min(config.count - len(instances), _MAX_CALL // per_draw))
         fields = _fields(stream.uniforms(k * per_draw).reshape(k, per_draw), n)
         A, _, A1, b1, c, d = fields
         screened = screened_out(A, A1, b1, c, d) if require else [False] * k

@@ -7,15 +7,18 @@ output word, so the stream is bit-identical for equal seeds on any
 platform, and uniforms(3) followed by uniforms(4) equals uniforms(7).
 
 The words are made in numpy uint64 lanes.  The xoshiro256** state update
-is linear over GF(2), so the state _LANE steps ahead is a fixed 256 x 256
-bit matrix times the state, built once per process into a jump table
-(`_jump_table`).  Lane l starts at that jump applied l times to the
-stream state, all lanes take their _LANE steps together, one numpy step
-per output index, and lane l's outputs are the stream's words
-l*_LANE .. (l+1)*_LANE - 1, written as uniforms into one (lanes, _LANE)
-array.  The stream keeps the uniforms it has made but not handed out and
-refills in blocks of at least _MIN_LANES lanes, so small requests share
-one block.
+is linear over GF(2), so the state 2**p lanes (2**p * _LANE steps) ahead
+is a fixed 256 x 256 bit matrix times the state (Haramoto et al., INFORMS
+J. Computing 20(3), 2008), built once per process into one jump table
+per power (`_jump_table`).  Lane 0 starts at the stream state, and lanes
+m .. 2m - 1 start one stacked jump by m = 2**p lanes after lanes
+0 .. m - 1, so a refill of L lanes takes ceil(log2 L) jumps.  All lanes
+take their _LANE steps together, one numpy step per output index, and
+lane l's outputs are the stream's words l*_LANE .. (l+1)*_LANE - 1,
+written as uniforms into one (lanes, _LANE) array.  The stream keeps the
+uniforms it has made but not handed out and refills in blocks of at
+least _MIN_LANES lanes, so small requests share one block.  The seed
+must be an integer (a bool is not).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .linalg import is_integer
 
 _MASK64 = (1 << 64) - 1
-_LANE = 128  # outputs per lane: the jump table advances a state this many steps
+_LANE = 128  # outputs per lane: _jump_table(0) advances a state this many steps
 _MIN_LANES = 64  # smallest refill, in lanes
 
 
@@ -73,38 +76,53 @@ def _advance(s: np.ndarray, out: np.ndarray) -> None:
 
 
 @functools.cache
-def _jump_table() -> np.ndarray:
-    """(32 * 256, 4) uint64: row 256 k + v is the state _LANE steps after
-    the state whose byte k is v and whose other bytes are 0.
+def _jump_table(p: int) -> np.ndarray:
+    """(4, 64 * 16) uint64: column 16 k + v is the state 2**p lanes (2**p *
+    _LANE steps) after the state whose nibble k (bits 4k .. 4k + 3) is v
+    and whose other bits are 0.
 
     The update is linear over GF(2), so the images of the 256 one-bit
-    states (made by the same lane steps) determine every jump, and a
-    state's jump is the XOR of the 32 rows its bytes pick."""
+    states determine every jump, and a state's jump is the XOR of the 64
+    columns its nibbles pick.  Those images are made by the lane steps
+    for p = 0 and by the previous power's jump applied twice for p > 0."""
     units = np.packbits(np.eye(256, dtype=np.uint8), axis=1, bitorder="little")
-    s = units.view(np.uint64).T.copy()  # column i: the state with only bit i set
-    _advance(s, np.empty((256, _LANE)))  # the uniforms are not needed
-    bits = s.T.reshape(32, 8, 4)  # the images by byte and bit
-    table = np.zeros((32, 256, 4), dtype=np.uint64)
-    for b in range(8):
-        np.bitwise_xor(table[:, :1 << b], bits[:, b, None], out=table[:, 1 << b:2 << b])
-    table = table.reshape(-1, 4)
+    s = units.view(np.uint64)  # row i: the state with only bit i set
+    if p == 0:
+        s = s.T.copy()
+        _advance(s, np.empty((256, _LANE)))  # the uniforms are not needed
+    else:
+        s = _jump(_jump(s, p - 1), p - 1).T
+    bits = s.reshape(4, 64, 4)  # the images by word, nibble and bit
+    table = np.zeros((4, 64, 16), dtype=np.uint64)
+    for b in range(4):
+        np.bitwise_xor(table[..., :1 << b], bits[..., b, None], out=table[..., 1 << b:2 << b])
+    table = table.reshape(4, -1)
     table.flags.writeable = False
     return table
 
 
+# row 256 k + v: the table columns of byte k's low and high nibbles when byte k is v
+_k, _v = np.divmod(np.arange(32 * 256), 256)
+_NIBBLE_COLUMNS = np.stack((32 * _k + (_v & 15), 32 * _k + 16 + (_v >> 4)), axis=-1)
 _BYTE_ROWS = np.arange(0, 32 * 256, 256)
 
 
-def _jump(state: np.ndarray) -> np.ndarray:
-    """The (4,) uint64 state _LANE steps after state."""
-    rows = _jump_table().take(_BYTE_ROWS + state.view(np.uint8), axis=0)
-    return np.bitwise_xor.reduce(rows, axis=0)
+def _jump(states: np.ndarray, p: int = 0) -> np.ndarray:
+    """The (m, 4) or (4,) uint64 states 2**p lanes (2**p * _LANE steps)
+    after states.  The table is word-major so that the XOR runs along the
+    contiguous last axis; along a middle axis it took about 10x as long."""
+    columns = _NIBBLE_COLUMNS.take(_BYTE_ROWS + states.view(np.uint8), axis=0)
+    words = _jump_table(p).take(columns.reshape(*states.shape[:-1], 64), axis=1)
+    return np.bitwise_xor.reduce(words, axis=-1).T.copy()
 
 
 class UniformStream:
     """xoshiro256** generator yielding uniforms in [0, 1)."""
 
     def __init__(self, seed: int):
+        """A seed that is not an integer (a bool is not) raises TypeError."""
+        if not is_integer(seed):
+            raise TypeError(f"seed must be an integer, got {seed!r}")
         state = int(seed) & _MASK64
         s = []
         for _ in range(4):
@@ -118,8 +136,14 @@ class UniformStream:
         lanes = max(_MIN_LANES, -(-need // _LANE))
         starts = np.empty((lanes, 4), dtype=np.uint64)
         starts[0] = self._s
-        for lane in range(1, lanes):
-            starts[lane] = _jump(starts[lane - 1])
+        # lanes m .. 2m - 1 start 2**p = m lanes after lanes 0 .. m - 1,
+        # jumped in chunks of _MIN_LANES to keep the gathers small
+        m, p = 1, 0
+        while m < lanes:
+            for i in range(m, min(2 * m, lanes), _MIN_LANES):
+                j = min(i + _MIN_LANES, 2 * m, lanes)
+                starts[i:j] = _jump(starts[i - m:j - m], p)
+            m, p = 2 * m, p + 1
         s = starts.T.copy()
         kept = self._made.size
         made = np.empty(kept + lanes * _LANE)

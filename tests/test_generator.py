@@ -77,6 +77,15 @@ class TestUniformStream:
         # the stream is untouched
         np.testing.assert_array_equal(stream.uniforms(3), UniformStream(0).uniforms(3))
 
+    @pytest.mark.parametrize("seed", [2.5, True, "3", np.float64(7.9), None])
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            UniformStream(seed)
+
+    def test_accepts_numpy_integer_seed(self):
+        assert (UniformStream(np.uint64(7)).uniforms(3).tobytes()
+                == UniformStream(7).uniforms(3).tobytes())
+
     def test_accepts_numpy_integer_count(self):
         np.testing.assert_array_equal(UniformStream(0).uniforms(np.int64(3)),
                                       UniformStream(0).uniforms(3))
@@ -127,6 +136,61 @@ class TestLanesMatchScalarOracle:
         total = sum(counts)
         assert joined.tobytes() == UniformStream(seed).uniforms(total).tobytes()
         assert joined.tobytes() == ScalarUniformStream(seed).uniforms(total).tobytes()
+
+
+class TestLaneStartsByDoubling:
+    # a refill of L lanes finds its lane starts by ceil(log2 L) stacked
+    # jumps by powers of two; they must be the serial chain of one-lane jumps
+
+    @staticmethod
+    def watch_refills(monkeypatch):
+        """The (lanes, 4) start states of each refill, as they are made."""
+        rng._jump_table(0)  # built by lane steps of its own, which are no refill
+        seen, advance = [], rng._advance
+
+        def watched(s, out):
+            seen.append(s.T.copy())
+            advance(s, out)
+
+        monkeypatch.setattr(rng, "_advance", watched)
+        return seen
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3, 63, 64, 65, 630, 3150])
+    def test_lane_starts_equal_the_serial_chain(self, monkeypatch, lanes):
+        monkeypatch.setattr(rng, "_MIN_LANES", min(lanes, rng._MIN_LANES))
+        seen = self.watch_refills(monkeypatch)
+        UniformStream(12345).uniforms(lanes * LANE)
+        chain = [np.array(seed_state(12345), dtype=np.uint64)]
+        for _ in range(lanes - 1):
+            chain.append(rng._jump(chain[-1]))
+        assert len(seen) == 1
+        assert seen[0].tobytes() == np.array(chain).tobytes()
+
+    @pytest.mark.parametrize("p", range(5))
+    def test_jump_table_is_the_lane_steps_repeated(self, p):
+        # the 64 * 16 states with one nonzero nibble, in the table's column
+        # order, each taken through 2**p lanes of xoshiro256** steps
+        k, v = np.divmod(np.arange(64 * 16), 16)
+        states = np.zeros((64 * 16, 32), dtype=np.uint8)
+        states[np.arange(64 * 16), k // 2] = v << 4 * (k % 2)
+        s = states.view(np.uint64).T.copy()
+        for _ in range(2**p):
+            rng._advance(s, np.empty((64 * 16, LANE)))
+        assert s.tobytes() == rng._jump_table(p).tobytes()
+
+    def test_one_call_equals_five(self):
+        # five 630-lane refills, which the scalar oracle checks, against one
+        # of 3,150 lanes
+        stream = UniformStream(12345)
+        five = np.concatenate([stream.uniforms(80_601) for _ in range(5)])
+        assert UniformStream(12345).uniforms(5 * 80_601).tobytes() == five.tobytes()
+
+    @pytest.mark.parametrize("n, count", [(5, 200), (20, 20), (200, 5)])
+    def test_plain_call_makes_one_refill(self, monkeypatch, n, count):
+        seen = self.watch_refills(monkeypatch)
+        generate_instances(GeneratorConfig(n=n, count=count, seed=12345))
+        assert [len(starts) for starts in seen] == [
+            max(rng._MIN_LANES, -(-count * (2 * n * n + 3 * n + 1) // LANE))]
 
 
 class TestGeneratorConfig:
@@ -198,6 +262,29 @@ class TestGenerateInstances:
         # the second instance takes the next block of the same stream
         np.testing.assert_array_equal(second.A, u[15:19].reshape(2, 2))
         assert second.d == u[29]
+
+    # 15 uniforms per draw at n = 2: one, two or every draw still needed per call
+    @pytest.mark.parametrize("cap", [1, 2 * 15 + 1, 10**6])
+    @pytest.mark.parametrize("low, high", [(1.0, 3.0), (-1.0, 1.0)])
+    def test_plain_draws_are_the_one_candidate_loop(self, monkeypatch, cap, low, high):
+        # whatever the cap on one `uniforms` call, the instances are the
+        # candidates off the stream one by one, without the rejected ones;
+        # over [-1, 1]^2 about 5 draws in 6 are rejected
+        n, count, seed = 2, 12, 7
+        stream, box = UniformStream(seed), BoxSet.uniform(n, low, high)
+        expected, rejected = [], 0
+        while len(expected) < count:
+            try:
+                expected.append(_draw_instance(stream, n, box))
+            except DomainError:
+                rejected += 1
+        assert (rejected > count) == (low < 0)
+        monkeypatch.setattr(generator, "_MAX_CALL", cap)
+        got = generate_instances(GeneratorConfig(n, count, seed, low, high))
+        assert len(got) == count
+        for a, b in zip(got, expected):
+            for name in ("A", "b", "A1", "b1", "c", "d"):
+                assert np.asarray(getattr(a, name)).tobytes() == np.asarray(getattr(b, name)).tobytes()
 
     def test_custom_box(self):
         cfg = GeneratorConfig(n=2, count=1, seed=5, box_low=-1.0, box_high=0.0)

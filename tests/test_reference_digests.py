@@ -4,7 +4,10 @@ paper batch's (status, iterations) signature there and by three more
 batches' signatures in tests/data/solve_signatures.json.  That file also
 holds the final_residual and x_final of all four batches' solves, and
 tests/data/certificate_reports.json every report of the certificate
-workload's pool at three seeds.  These tests recompute them with the
+workload's pool at three seeds, and tests/data/pool_digests.json the
+instance digest of every pool batch of paramonotone_gen at three seeds
+and of large at one, so every refill shape the benchmark makes.  These
+tests recompute them with the
 benchmark's own workload definitions, so a change to the seeded
 instances, a solve or a certificate fails here and not only in a
 benchmark run."""
@@ -43,6 +46,22 @@ def test_instance_digest(workloads, name):
     workload = workloads.WORKLOADS[name]
     digest = workloads.instance_digest(workload.instances(workloads.REFERENCE_SEED))
     assert digest == REFERENCE["digests"][name]
+
+
+POOLS = json.loads((Path(__file__).parent / "data" / "pool_digests.json").read_text())
+
+
+@pytest.mark.parametrize("name, seed", [
+    ("paramonotone_gen", 12345), ("paramonotone_gen", 601), ("paramonotone_gen", 602),
+    ("large", 12345),
+])
+def test_pool_batches_keep_their_instances(workloads, name, seed):
+    workload = workloads.WORKLOADS[name]
+    pins = POOLS[name][str(seed)]
+    assert len(pins) == workload.pool
+    for j, pin in enumerate(pins):
+        batch = workload.instances(seed + j * workloads.SEED_STRIDE)
+        assert workloads.instance_digest(batch) == pin, f"pool batch {j}"
 
 
 @pytest.mark.parametrize("name, seed", [
