@@ -5,18 +5,22 @@ package xoshiro256** stream, sliced in a fixed order (A row-major, then
 b, then A1 row-major, then b1, then c, then d), so a config reproduces
 instances bit-for-bit.  Draws whose denominator is not strictly
 positive over the box are rejected; with require_paramonotone set, so
-are draws failing the paramonotonicity certificate, and each `uniforms`
-call then takes k whole candidates, as many as fit in the stream's
-smallest refill of 8,192 uniforms (292 at n = 3, 1 from n = 45 on);
-otherwise, where nearly every draw is accepted, each call takes every
-draw still needed, up to _MAX_CALL uniforms, so a call that rejects
-nothing makes one refill.  A cheap LDL' screen rules out most of a
+are draws failing the paramonotonicity certificate, and the `uniforms`
+calls then take blocks of whole candidates: the first block is as many
+as fit in the stream's smallest refill of 8,192 uniforms (292 at n = 3,
+1 from n = 45 on), and each later block is twice the one before, up to
+_MAX_CALL uniforms, so a rare acceptance costs few refills.  Otherwise,
+where nearly every draw is accepted, each call takes every draw still
+needed, up to _MAX_CALL uniforms, so a call that rejects nothing makes
+one refill.  A cheap LDL' screen rules out most of a
 block at once; every other draw, in stream order, is accepted only on
 the certificate's verdict, so the screen changes no instance, only the
 cost of finding it.  The stream is the
 call's own, so draws past the last accepted one are never seen.  More
 than MAX_REJECTIONS rejections in one call, counted draw by draw, raise
-GenerationError.  n, count and seed must be integers (not bools), the
+GenerationError.  An accepted paramonotone instance holds copies of its
+fields; a plain one holds views into its call's uniforms, which hold
+little else.  n, count and seed must be integers (not bools), the
 box bounds finite real numbers, and require_paramonotone a bool.
 """
 
@@ -29,7 +33,7 @@ from .errors import ConfigurationError, DomainError, GenerationError
 from .linalg import is_integer, is_real
 from .monotonicity import check_paramonotone, screened_out
 from .oracles import AffineFractionalInstance
-from .rng import _LANE, _MIN_LANES, UniformStream
+from .rng import _MIN_REFILL, UniformStream
 from .sets import BoxSet
 
 MAX_REJECTIONS = 10000
@@ -75,19 +79,25 @@ def generate_instances(config: GeneratorConfig) -> list[AffineFractionalInstance
     stream = UniformStream(config.seed)
     box = BoxSet.uniform(n, config.box_low, config.box_high)
     per_draw, require = 2 * n * n + 3 * n + 1, config.require_paramonotone
-    block = max(1, _MIN_LANES * _LANE // per_draw)  # the candidates one smallest refill holds
+    most = max(1, _MAX_CALL // per_draw)  # the most candidates one call takes
+    block = max(1, _MIN_REFILL // per_draw)  # the candidates one smallest refill holds
     instances: list[AffineFractionalInstance] = []
     rejections = 0
     while True:
-        # plain draws: every draw still needed, so that a call without
-        # rejections makes one refill and takes no draw past its last instance
-        k = block if require else max(1, min(config.count - len(instances), _MAX_CALL // per_draw))
+        if require:  # each block twice the one before, up to `most`
+            k, block = block, min(2 * block, most)
+        else:
+            # plain draws: every draw still needed, so that a call without
+            # rejections makes one refill and takes no draw past its last instance
+            k = max(1, min(config.count - len(instances), most))
         fields = _fields(stream.uniforms(k * per_draw).reshape(k, per_draw), n)
         A, _, A1, b1, c, d = fields
         screened = screened_out(A, A1, b1, c, d) if require else [False] * k
         for i, out in enumerate(screened):  # only a candidate the screen leaves is sliced
+            # a paramonotone candidate's own copies: a view would keep the block alive
+            row = () if out else [f[i].copy() if require else f[i] for f in fields]
             try:
-                inst = None if out else AffineFractionalInstance(*(f[i] for f in fields), box)
+                inst = AffineFractionalInstance(*row, box) if row else None
             except DomainError:
                 inst = None  # nonpositive denominator over the box
             if inst is not None and require and not check_paramonotone(inst).verdict:

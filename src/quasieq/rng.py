@@ -7,18 +7,20 @@ output word, so the stream is bit-identical for equal seeds on any
 platform, and uniforms(3) followed by uniforms(4) equals uniforms(7).
 
 The words are made in numpy uint64 lanes.  The xoshiro256** state update
-is linear over GF(2), so the state 2**p lanes (2**p * _LANE steps) ahead
-is a fixed 256 x 256 bit matrix times the state (Haramoto et al., INFORMS
-J. Computing 20(3), 2008), built once per process into one jump table
-per power (`_jump_table`).  Lane 0 starts at the stream state, and lanes
-m .. 2m - 1 start one stacked jump by m = 2**p lanes after lanes
-0 .. m - 1, so a refill of L lanes takes ceil(log2 L) jumps.  All lanes
-take their _LANE steps together, one numpy step per output index, and
-lane l's outputs are the stream's words l*_LANE .. (l+1)*_LANE - 1,
-written as uniforms into one (lanes, _LANE) array.  The stream keeps the
-uniforms it has made but not handed out and refills in blocks of at
-least _MIN_LANES lanes, so small requests share one block.  The seed
-must be an integer (a bool is not).
+is linear over GF(2), so the state 2**p steps ahead is a fixed 256 x 256
+bit matrix times the state (Haramoto et al., INFORMS J. Computing 20(3),
+2008), built once per process into one jump table per power
+(`_jump_table`).  The stream keeps the uniforms it has made but not
+handed out, and a refill makes at least _MIN_REFILL of them, so small
+requests share one refill.  Each refill cuts its words into L lanes of
+2**q steps, q chosen from the refill's size so that the grid is near
+square (q from 4 to 8): the steps run one numpy call per output index
+over all lanes, and the lane starts take ceil(log2 L) jumps.  Lane 0
+starts at the stream state, and lanes m .. 2m - 1 start one stacked jump
+by m * 2**q steps after lanes 0 .. m - 1.  Lane l's outputs are the
+stream's words l * 2**q .. (l + 1) * 2**q - 1 of the refill, written as
+uniforms into one (L, 2**q) array, so any lane length gives the same
+uniforms.  The seed must be an integer (a bool is not).
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ import numpy as np
 from .linalg import is_integer
 
 _MASK64 = (1 << 64) - 1
-_LANE = 128  # outputs per lane: _jump_table(0) advances a state this many steps
-_MIN_LANES = 64  # smallest refill, in lanes
+_MIN_REFILL = 1 << 13  # smallest refill, in uniforms
+_CHUNK = 64  # states per stacked jump, to keep its gathers small
 
 
 def splitmix64_next(state: int) -> tuple[int, int]:
@@ -45,13 +47,14 @@ def splitmix64_next(state: int) -> tuple[int, int]:
 
 def _advance(s: np.ndarray, out: np.ndarray) -> None:
     """Advance every lane (column of the (4, lanes) uint64 state s) by
-    _LANE xoshiro256** steps in place; the uniform made from the j-th
-    output word of lane l goes to out[l, j] (float64, (lanes, _LANE))."""
+    steps xoshiro256** steps in place; the uniform made from the j-th
+    output word of lane l goes to out[l, j] (float64, (lanes, steps))."""
+    steps = out.shape[1]
     s0, s1, s2, s3 = s
     low, high, high_reversed = s[:2], s[2:], s[:1:-1]
     t = np.empty_like(s0)
     history = out.view(np.uint64)  # s1 before each step
-    for j in range(_LANE):
+    for j in range(steps):
         history[:, j] = s1
         np.left_shift(s1, 17, out=t)
         high ^= low  # s2 ^= s0, s3 ^= s1
@@ -60,36 +63,37 @@ def _advance(s: np.ndarray, out: np.ndarray) -> None:
         np.right_shift(s3, 19, out=t)
         s3 <<= 45
         s3 |= t  # rotl(s3, 45)
-    # The ** scrambler and the float conversion, in refill-sized pieces so
-    # that their temporaries stay small: one unchunked pass raises the
-    # benchmark's `large` peak memory by about 2%.
-    for i in range(0, len(out), _MIN_LANES):
-        w = history[i:i + _MIN_LANES]
+    # The ** scrambler and the float conversion, in pieces of about
+    # _MIN_REFILL words so that their temporaries stay small: one unchunked
+    # pass raises the benchmark's `large` peak memory by about 2%.
+    rows = max(1, _MIN_REFILL // steps)
+    for i in range(0, len(out), rows):
+        w = history[i:i + rows]
         w *= 5
         t = w >> 57
         w <<= 7
         w |= t  # rotl(s1 * 5, 7)
         w *= 9
         w >>= 11
-        out[i:i + _MIN_LANES] = w  # overlaps w, so numpy converts via a copy
-        out[i:i + _MIN_LANES] *= 2.0**-53  # the top 53 bits as a uniform
+        out[i:i + rows] = w  # overlaps w, so numpy converts via a copy
+        out[i:i + rows] *= 2.0**-53  # the top 53 bits as a uniform
 
 
 @functools.cache
 def _jump_table(p: int) -> np.ndarray:
-    """(4, 64 * 16) uint64: column 16 k + v is the state 2**p lanes (2**p *
-    _LANE steps) after the state whose nibble k (bits 4k .. 4k + 3) is v
-    and whose other bits are 0.
+    """(4, 64 * 16) uint64: column 16 k + v is the state 2**p steps after
+    the state whose nibble k (bits 4k .. 4k + 3) is v and whose other bits
+    are 0.
 
     The update is linear over GF(2), so the images of the 256 one-bit
     states determine every jump, and a state's jump is the XOR of the 64
-    columns its nibbles pick.  Those images are made by the lane steps
-    for p = 0 and by the previous power's jump applied twice for p > 0."""
+    columns its nibbles pick.  Those images are made by one step for
+    p = 0 and by the previous power's jump applied twice for p > 0."""
     units = np.packbits(np.eye(256, dtype=np.uint8), axis=1, bitorder="little")
     s = units.view(np.uint64)  # row i: the state with only bit i set
     if p == 0:
         s = s.T.copy()
-        _advance(s, np.empty((256, _LANE)))  # the uniforms are not needed
+        _advance(s, np.empty((256, 1)))  # the uniforms are not needed
     else:
         s = _jump(_jump(s, p - 1), p - 1).T
     bits = s.reshape(4, 64, 4)  # the images by word, nibble and bit
@@ -107,10 +111,10 @@ _NIBBLE_COLUMNS = np.stack((32 * _k + (_v & 15), 32 * _k + 16 + (_v >> 4)), axis
 _BYTE_ROWS = np.arange(0, 32 * 256, 256)
 
 
-def _jump(states: np.ndarray, p: int = 0) -> np.ndarray:
-    """The (m, 4) or (4,) uint64 states 2**p lanes (2**p * _LANE steps)
-    after states.  The table is word-major so that the XOR runs along the
-    contiguous last axis; along a middle axis it took about 10x as long."""
+def _jump(states: np.ndarray, p: int) -> np.ndarray:
+    """The (m, 4) or (4,) uint64 states 2**p steps after states.  The
+    table is word-major so that the XOR runs along the contiguous last
+    axis; along a middle axis it took about 10x as long."""
     columns = _NIBBLE_COLUMNS.take(_BYTE_ROWS + states.view(np.uint8), axis=0)
     words = _jump_table(p).take(columns.reshape(*states.shape[:-1], 64), axis=1)
     return np.bitwise_xor.reduce(words, axis=-1).T.copy()
@@ -132,23 +136,27 @@ class UniformStream:
         self._made = np.empty(0)  # uniforms made but not yet handed out
 
     def _refill(self, need: int) -> None:
-        """Make at least need more uniforms (and at least _MIN_LANES lanes)."""
-        lanes = max(_MIN_LANES, -(-need // _LANE))
+        """Make size = max(need, _MIN_REFILL) more uniforms or a few more,
+        in lanes of 2**q steps: q = round(log2(size / 16) / 2), halves
+        rounded up, held within 4 .. 8."""
+        size = max(int(need), _MIN_REFILL)
+        q = min(8, max(4, (size.bit_length() - 4) // 2))
+        steps = 1 << q
+        lanes = -(-size // steps)
         starts = np.empty((lanes, 4), dtype=np.uint64)
         starts[0] = self._s
-        # lanes m .. 2m - 1 start 2**p = m lanes after lanes 0 .. m - 1,
-        # jumped in chunks of _MIN_LANES to keep the gathers small
-        m, p = 1, 0
+        # lanes m .. 2m - 1 start 2**p = m * steps steps after lanes 0 .. m - 1
+        m, p = 1, q
         while m < lanes:
-            for i in range(m, min(2 * m, lanes), _MIN_LANES):
-                j = min(i + _MIN_LANES, 2 * m, lanes)
+            for i in range(m, min(2 * m, lanes), _CHUNK):
+                j = min(i + _CHUNK, 2 * m, lanes)
                 starts[i:j] = _jump(starts[i - m:j - m], p)
             m, p = 2 * m, p + 1
         s = starts.T.copy()
         kept = self._made.size
-        made = np.empty(kept + lanes * _LANE)
+        made = np.empty(kept + lanes * steps)
         made[:kept] = self._made
-        _advance(s, made[kept:].reshape(lanes, _LANE))
+        _advance(s, made[kept:].reshape(lanes, steps))
         self._s = s[:, -1].copy()  # the last lane ends where the stream resumes
         self._made = made
 

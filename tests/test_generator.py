@@ -1,3 +1,6 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,8 +14,7 @@ from quasieq.rng import UniformStream, splitmix64_next
 from quasieq.sets import BoxSet
 from reference_rng import ScalarUniformStream, _draw_instance, scalar_words, seed_state
 
-LANE = rng._LANE
-BLOCK = rng._MIN_LANES * rng._LANE  # the smallest refill, in words
+FLOOR = rng._MIN_REFILL  # the smallest refill, in uniforms
 
 
 class TestSplitmix64:
@@ -101,35 +103,61 @@ class TestUniformStream:
         assert abs(u.mean() - 0.5) < 0.01
 
 
+def lane_steps(size: int) -> int:
+    """The lane length of a refill of size uniforms: 2**q steps with
+    q = round(log2(size / 16) / 2), halves rounded up, held within 4 .. 8."""
+    return 2 ** min(8, max(4, math.floor(math.log2(size / 16) / 2 + 0.5)))
+
+
+@functools.cache
+def scalar_uniforms(seed: int) -> np.ndarray:
+    return ScalarUniformStream(seed).uniforms(max(COUNTS))
+
+
+# one call makes one refill, of max(count, FLOOR) uniforms or a little
+# more: each lane length from 32 steps, on both sides of each change of
+# length and of the floor (16-step lanes need a lower floor, below)
+COUNTS = [0, 1, 127, 128, 129, FLOOR - 1, FLOOR, FLOOR + 1, 2**15 - 1, 2**15, 80_601,
+          2**17 - 1, 2**17, 2**19 - 1, 2**19, 2**19 + 1]
+
+
 class TestLanesMatchScalarOracle:
     SEEDS = (0, 12345, 2**64 - 1)
 
+    def test_counts_cross_every_change_of_lane_length(self):
+        assert lane_steps(FLOOR - 1) == 16 and lane_steps(FLOOR) == 32
+        for change, lane in zip((2**15, 2**17, 2**19), (64, 128, 256)):
+            assert (lane_steps(change - 1), lane_steps(change)) == (lane // 2, lane)
+            assert {change - 1, change} <= set(COUNTS)
+        assert {FLOOR - 1, FLOOR, FLOOR + 1} <= set(COUNTS)
+
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("count", [0, 1, LANE - 1, LANE, LANE + 1,
-                                       BLOCK - 1, BLOCK, BLOCK + 1, 80_601])
+    @pytest.mark.parametrize("count", COUNTS)
     def test_one_call_is_bit_identical(self, seed, count):
         got = UniformStream(seed).uniforms(count)
         assert got.dtype == np.float64
-        assert got.tobytes() == ScalarUniformStream(seed).uniforms(count).tobytes()
+        assert got.tobytes() == scalar_uniforms(seed)[:count].tobytes()
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_jump_equals_lane_scalar_steps(self, seed):
+        # _jump(state, p) is 2**p single steps, for p = 0 .. 13: every
+        # power that the lane starts of a smallest refill use, and below
         state = seed_state(seed)
-        jumped = rng._jump(np.array(state, dtype=np.uint64))
-        assert jumped.dtype == np.uint64
-        assert tuple(int(w) for w in jumped) == scalar_words(state, LANE)[0]
+        for p in range(14):
+            jumped = rng._jump(np.array(state, dtype=np.uint64), p)
+            assert jumped.dtype == np.uint64
+            assert tuple(int(w) for w in jumped) == scalar_words(state, 2**p)[0], f"p = {p}"
 
     @settings(max_examples=40)
     @given(seed=st.integers(0, 2**64 - 1),
-           counts=st.lists(st.sampled_from([0, 1, LANE - 1, LANE, LANE + 1, BLOCK - 1,
-                                            BLOCK + 1]) | st.integers(0, 3000),
-                           max_size=6),
-           min_lanes=st.sampled_from([1, rng._MIN_LANES]))
-    @example(seed=7, counts=[1, LANE], min_lanes=1)  # the second call refills one lane
-    @example(seed=7, counts=[BLOCK - 1, 2], min_lanes=rng._MIN_LANES)
-    def test_consecutive_calls_continue_one_stream(self, seed, counts, min_lanes):
+           counts=st.lists(st.sampled_from([0, 1, 15, 16, 17, FLOOR - 1, FLOOR + 1])
+                           | st.integers(0, 3000), max_size=6),
+           floor=st.sampled_from([1, FLOOR]))
+    @example(seed=7, counts=[1, 16], floor=1)  # the second call refills one 16-step lane
+    @example(seed=7, counts=[FLOOR - 1, 2], floor=FLOOR)
+    def test_consecutive_calls_continue_one_stream(self, seed, counts, floor):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rng, "_MIN_LANES", min_lanes)
+            mp.setattr(rng, "_MIN_REFILL", floor)
             stream = UniformStream(seed)
             pieces = [stream.uniforms(c) for c in counts]
         joined = np.concatenate([np.empty(0)] + pieces)
@@ -139,58 +167,72 @@ class TestLanesMatchScalarOracle:
 
 
 class TestLaneStartsByDoubling:
-    # a refill of L lanes finds its lane starts by ceil(log2 L) stacked
-    # jumps by powers of two; they must be the serial chain of one-lane jumps
+    # a refill of L lanes of 2**q steps finds its lane starts by
+    # ceil(log2 L) stacked jumps by 2**q, 2**(q + 1), ... steps (one lane,
+    # two lanes, ...); they must be the serial chain of one-lane jumps
 
     @staticmethod
     def watch_refills(monkeypatch):
-        """The (lanes, 4) start states of each refill, as they are made."""
-        rng._jump_table(0)  # built by lane steps of its own, which are no refill
+        """The (lanes, 4) start states and the lane length of each refill,
+        as they are made."""
+        rng._jump_table(0)  # built by a step of its own, which is no refill
         seen, advance = [], rng._advance
 
         def watched(s, out):
-            seen.append(s.T.copy())
+            seen.append((s.T.copy(), out.shape[1]))
             advance(s, out)
 
         monkeypatch.setattr(rng, "_advance", watched)
         return seen
 
-    @pytest.mark.parametrize("lanes", [1, 2, 3, 63, 64, 65, 630, 3150])
-    def test_lane_starts_equal_the_serial_chain(self, monkeypatch, lanes):
-        monkeypatch.setattr(rng, "_MIN_LANES", min(lanes, rng._MIN_LANES))
-        seen = self.watch_refills(monkeypatch)
-        UniformStream(12345).uniforms(lanes * LANE)
-        chain = [np.array(seed_state(12345), dtype=np.uint64)]
-        for _ in range(lanes - 1):
-            chain.append(rng._jump(chain[-1]))
-        assert len(seen) == 1
-        assert seen[0].tobytes() == np.array(chain).tobytes()
+    LANES = (1, 2, 3, 63, 64, 65, 630, 2049, 3150)
 
-    @pytest.mark.parametrize("p", range(5))
+    @pytest.mark.parametrize("lanes", LANES)
+    def test_lane_starts_equal_the_serial_chain(self, monkeypatch, lanes):
+        # every lane length that makes a refill of exactly this many lanes
+        monkeypatch.setattr(rng, "_MIN_REFILL", 1)
+        steps = [2**q for q in range(4, 9) if lane_steps(lanes * 2**q) == 2**q]
+        assert steps
+        seen = self.watch_refills(monkeypatch)
+        for lane in steps:
+            seen.clear()
+            UniformStream(12345).uniforms(lanes * lane)
+            chain = [np.array(seed_state(12345), dtype=np.uint64)]
+            for _ in range(lanes - 1):
+                chain.append(rng._jump(chain[-1], lane.bit_length() - 1))
+            assert [(len(starts), got) for starts, got in seen] == [(lanes, lane)]
+            assert seen[0][0].tobytes() == np.array(chain).tobytes(), f"{lane}-step lanes"
+
+    def test_every_lane_length_is_tried(self):
+        tried = {2**q for lanes in self.LANES for q in range(4, 9)
+                 if lane_steps(lanes * 2**q) == 2**q}
+        assert tried == {16, 32, 64, 128, 256}
+
+    @pytest.mark.parametrize("p", range(9))
     def test_jump_table_is_the_lane_steps_repeated(self, p):
         # the 64 * 16 states with one nonzero nibble, in the table's column
-        # order, each taken through 2**p lanes of xoshiro256** steps
+        # order, each taken through 2**p single xoshiro256** steps
         k, v = np.divmod(np.arange(64 * 16), 16)
         states = np.zeros((64 * 16, 32), dtype=np.uint8)
         states[np.arange(64 * 16), k // 2] = v << 4 * (k % 2)
         s = states.view(np.uint64).T.copy()
-        for _ in range(2**p):
-            rng._advance(s, np.empty((64 * 16, LANE)))
+        rng._advance(s, np.empty((64 * 16, 2**p)))
         assert s.tobytes() == rng._jump_table(p).tobytes()
 
     def test_one_call_equals_five(self):
-        # five 630-lane refills, which the scalar oracle checks, against one
-        # of 3,150 lanes
+        # five refills of 1,260 lanes of 64 steps, which the scalar oracle
+        # checks, against one of 3,149 lanes of 128
         stream = UniformStream(12345)
         five = np.concatenate([stream.uniforms(80_601) for _ in range(5)])
         assert UniformStream(12345).uniforms(5 * 80_601).tobytes() == five.tobytes()
 
-    @pytest.mark.parametrize("n, count", [(5, 200), (20, 20), (200, 5)])
+    @pytest.mark.parametrize("n, count", [(5, 200), (20, 20), (200, 5), (3, 1)])
     def test_plain_call_makes_one_refill(self, monkeypatch, n, count):
         seen = self.watch_refills(monkeypatch)
         generate_instances(GeneratorConfig(n=n, count=count, seed=12345))
-        assert [len(starts) for starts in seen] == [
-            max(rng._MIN_LANES, -(-count * (2 * n * n + 3 * n + 1) // LANE))]
+        size = max(count * (2 * n * n + 3 * n + 1), FLOOR)
+        lane = lane_steps(size)
+        assert [(len(starts), got) for starts, got in seen] == [(-(-size // lane), lane)]
 
 
 class TestGeneratorConfig:
@@ -303,6 +345,13 @@ class TestGenerateInstances:
         for a, b in zip(instances, repeat):
             np.testing.assert_array_equal(a.A, b.A)
 
+    def test_paramonotone_instances_own_their_arrays(self):
+        # a view into the candidates' block would keep the whole block alive
+        cfg = GeneratorConfig(n=3, count=20, seed=12345, require_paramonotone=True)
+        for inst in generate_instances(cfg):
+            for name in ("A", "b", "A1", "b1", "c"):
+                assert getattr(inst, name).base is None, name
+
     @pytest.mark.parametrize("n, seed", [(1, 5), (2, 11), (3, 12345)])
     def test_paramonotone_filter_matches_the_certificate_alone(self, n, seed):
         # the plain candidate stream filtered by check_paramonotone alone:
@@ -358,14 +407,28 @@ class TestGenerateInstances:
                 passed = False
             accepted += passed
             rejections += not passed
-        per_block = BLOCK // (2 * n * n + 3 * n + 1)
-        assert accepted > 0 and (accepted + rejections) % per_block != 0  # fires mid-block
+        first = FLOOR // (2 * n * n + 3 * n + 1)  # blocks of first, 2 first, 4 first, ...
+        ends = first * (2 ** np.arange(1, 12) - 1)
+        assert accepted > 0 and accepted + rejections not in ends  # fires mid-block
         rate = accepted / (accepted + rejections)
         monkeypatch.setattr(generator, "MAX_REJECTIONS", limit)
         cfg = GeneratorConfig(n=n, count=20, seed=seed, require_paramonotone=True)
         with pytest.raises(GenerationError) as err:
             generate_instances(cfg)
         assert str(err.value) == (f"rejected {rejections} draws for {accepted} accepted "
+                                  f"instances (acceptance rate {rate:.3g})")
+        assert err.value.acceptance_rate == rate
+
+    @pytest.mark.parametrize("count, seed, accepted", [(5, 1, 3), (20, 12345, 6)])
+    def test_exhausted_rejections_keep_their_pin(self, count, seed, accepted):
+        # the full MAX_REJECTIONS at n = 4, after a few acceptances spread
+        # over many blocks: a stop one draw early or late changes the
+        # message, as does a block that skips or repeats a candidate
+        cfg = GeneratorConfig(n=4, count=count, seed=seed, require_paramonotone=True)
+        with pytest.raises(GenerationError) as err:
+            generate_instances(cfg)
+        rate = accepted / (accepted + 10001)
+        assert str(err.value) == (f"rejected 10001 draws for {accepted} accepted "
                                   f"instances (acceptance rate {rate:.3g})")
         assert err.value.acceptance_rate == rate
 

@@ -1,5 +1,7 @@
+import json
 import math
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -353,3 +355,14 @@ class TestScreen:
             a_hat = compute_a_hat(SimpleNamespace(A=A[i], A1=A1[i], b1=b1[i], c=c[i], d=d[i]))
             shift = 2.0 * DEFAULT_TOL * max(1.0, frobenius_norm(a_hat))
             assert got[i] == (not is_positive_definite(0.5 * (a_hat + a_hat.T) + shift * np.eye(n)))
+
+    def test_verdicts_on_a_fixed_stack_keep_their_pin(self):
+        # the first 2,336 n = 3 candidates of the seed-12345 stream, eight
+        # of the generator's first blocks, screened as one stack; the pin
+        # was written before the stream's refills changed shape
+        pin = json.loads((Path(__file__).parent / "data" / "screen_verdicts.json").read_text())
+        n, count = pin["n"], pin["count"]
+        block = UniformStream(pin["seed"]).uniforms(count * (2 * n * n + 3 * n + 1))
+        A, _, A1, b1, c, d = generator._fields(block.reshape(count, -1), n)
+        got = "".join("1" if out else "0" for out in screened_out(A, A1, b1, c, d))
+        assert got == "".join(pin["screened_out"])
