@@ -16,7 +16,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
+from .errors import ConfigurationError
 from .generator import GeneratorConfig, generate_instances
+from .linalg import is_integer
 from .oracles import AffineFractionalOracle
 from .solver import SolveReport, SolverConfig, normal_subgradient_solve
 
@@ -57,23 +59,27 @@ def run_benchmark(
     """Solve ``count`` seeded instances per size and aggregate results.
 
     Distinct sizes run in ascending order, the i-th with seed ``seed + i``;
-    ``GeneratorConfig`` checks every size, ``count`` and ``seed`` before
-    any solve.  ``config`` (default ``SolverConfig()``) supplies the
-    variant, the step scale and the tolerances; tracing is disabled.  A
-    solve that raises counts as a non-success in ``failures`` and never
-    aborts the sweep; the means, of ``elapsed_seconds`` and of
-    ``final_residual``, are over the solves that returned, NaN when none
-    did.
+    every size, ``count`` and seed is checked before any solve, so a
+    ``seed + i`` past 2**64 - 1 raises ConfigurationError at once.
+    ``config`` (default ``SolverConfig()``) supplies the variant, the step
+    scale and the tolerances; tracing is disabled.  A solve that raises
+    counts as a non-success in ``failures`` and never aborts the sweep;
+    the means, of ``elapsed_seconds`` and of ``final_residual``, are over
+    the solves that returned, NaN when none did.
     """
-    configs = {n: GeneratorConfig(n=n, count=count, seed=seed) for n in sizes}
+    sizes = list(sizes)
+    # checked before sorting and before seed + i, which would make a bool an int
+    if not (is_integer(seed) and all(is_integer(n) for n in sizes)):
+        raise ConfigurationError(f"sizes and seed must be integers, got {sizes!r}, {seed!r}")
+    configs = [GeneratorConfig(n=n, count=count, seed=seed + i)
+               for i, n in enumerate(sorted(set(sizes)))]
     if not configs:
         raise ValueError("sizes must be nonempty")
-    base = config if config is not None else SolverConfig()
-    solver_config = replace(base, trace_keep=0)
+    solver_config = replace(config or SolverConfig(), trace_keep=0)
 
     rows = []
-    for size_index, n in enumerate(sorted(configs)):
-        instances = generate_instances(replace(configs[n], seed=seed + size_index))
+    for gen_config in configs:
+        instances = generate_instances(gen_config)
         reports: list[SolveReport] = []
         failures: Counter[str] = Counter()
         for inst in instances:
@@ -83,7 +89,7 @@ def run_benchmark(
             except Exception as exc:
                 failures[type(exc).__name__] += 1
         rows.append(BenchmarkRow(
-            n=n,
+            n=gen_config.n,
             n_prob=count,
             n_success=sum(1 for r in reports if r.final_residual < solver_config.tol_success),
             mean_time_seconds=_mean([r.elapsed_seconds for r in reports]),

@@ -24,7 +24,7 @@ class ConfigurationError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative routine hit its iteration cap."""
+    """A LAPACK eigenvalue or singular-value routine did not converge."""
 
 
 class InstanceFormatError(InputError):

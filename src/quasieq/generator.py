@@ -5,27 +5,25 @@ package xoshiro256** stream, sliced in a fixed order (A row-major, then
 b, then A1 row-major, then b1, then c, then d), so a config reproduces
 instances bit-for-bit.  Draws whose denominator is not strictly
 positive over the box are rejected; with require_paramonotone set, so
-are draws failing the paramonotonicity certificate, and the `uniforms`
-calls then take blocks of whole candidates: the first block is as many
-as fit in the stream's smallest refill of 8,192 uniforms (292 at n = 3,
-1 from n = 45 on), and each later block is twice the one before, up to
-_MAX_CALL uniforms, so a rare acceptance costs few refills.  Otherwise,
-where nearly every draw is accepted, each call takes every draw still
-needed, up to _MAX_CALL uniforms, so a call that rejects nothing makes
-one refill.  A cheap LDL' screen rules out most of a
-block at once; every other draw, in stream order, is accepted only on
-the certificate's verdict, so the screen changes no instance, only the
-cost of finding it.  The stream is the
-call's own, so draws past the last accepted one are never seen.  More
-than MAX_REJECTIONS rejections in one call, counted draw by draw, raise
-GenerationError.  An accepted paramonotone instance holds copies of its
-fields; a plain one holds views into its call's uniforms, which hold
-little else.  n, count and seed must be integers (not bools), the
-box bounds finite real numbers, and require_paramonotone a bool.
+are draws failing the paramonotonicity certificate.  The i-th `uniforms`
+call takes base * 2**i candidates, up to _MAX_CALL uniforms.  For plain
+draws, base is every draw still needed, so a call that rejects nothing
+is the only one; under require_paramonotone, it is _FIRST_BLOCK
+uniforms' worth (292 at n = 3, 1 from n = 45 on).  A cheap LDL' screen
+rules out most of a paramonotone block at once; every other draw, in
+stream order, is accepted only on the certificate's verdict, so the
+screen changes no instance, only the cost of finding it.  The stream is
+the call's own, so draws past the last accepted one are never seen.
+More than MAX_REJECTIONS rejections in one call, counted draw by draw,
+raise GenerationError.  An accepted paramonotone instance holds copies
+of its fields; a plain one holds views into its call's uniforms, which
+hold little else.  n, count and seed must be integers (not bools), seed
+in [0, 2**64), the box bounds finite reals, require_paramonotone a bool.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,11 +31,12 @@ from .errors import ConfigurationError, DomainError, GenerationError
 from .linalg import is_integer, is_real
 from .monotonicity import check_paramonotone, screened_out
 from .oracles import AffineFractionalInstance
-from .rng import _MIN_REFILL, UniformStream
+from .rng import UniformStream
 from .sets import BoxSet
 
 MAX_REJECTIONS = 10000
-_MAX_CALL = 1 << 19  # most uniforms one plain `uniforms` call takes (4 MB)
+_MAX_CALL = 1 << 19  # most uniforms one `uniforms` call takes (4 MB)
+_FIRST_BLOCK = 1 << 13  # uniforms in the first paramonotone block
 
 
 @dataclass(frozen=True)
@@ -50,9 +49,10 @@ class GeneratorConfig:
     require_paramonotone: bool = False
 
     def __post_init__(self):
-        if not (is_integer(self.n) and is_integer(self.count) and is_integer(self.seed)):
-            raise ConfigurationError("n, count and seed must be integers, got "
-                                     f"{self.n!r}, {self.count!r}, {self.seed!r}")
+        if not (is_integer(self.n) and is_integer(self.count) and is_integer(self.seed)
+                and 0 <= int(self.seed) < 1 << 64):
+            raise ConfigurationError("n, count and seed must be integers, seed in [0, 2**64), "
+                                     f"got {self.n!r}, {self.count!r}, {self.seed!r}")
         if self.n < 1:
             raise ConfigurationError("n must be at least 1")
         if self.count < 1:
@@ -75,21 +75,18 @@ def _fields(u, n: int) -> tuple:
 
 def generate_instances(config: GeneratorConfig) -> list[AffineFractionalInstance]:
     """Draw config.count instances; deterministic for equal configs."""
-    n = config.n
+    n, count = int(config.n), int(config.count)  # Python ints, so no shift overflows
     stream = UniformStream(config.seed)
     box = BoxSet.uniform(n, config.box_low, config.box_high)
     per_draw, require = 2 * n * n + 3 * n + 1, config.require_paramonotone
     most = max(1, _MAX_CALL // per_draw)  # the most candidates one call takes
-    block = max(1, _MIN_REFILL // per_draw)  # the candidates one smallest refill holds
+    first = max(1, _FIRST_BLOCK // per_draw)
     instances: list[AffineFractionalInstance] = []
     rejections = 0
-    while True:
-        if require:  # each block twice the one before, up to `most`
-            k, block = block, min(2 * block, most)
-        else:
-            # plain draws: every draw still needed, so that a call without
-            # rejections makes one refill and takes no draw past its last instance
-            k = max(1, min(config.count - len(instances), most))
+    for call in itertools.count():
+        # base * 2**call candidates, up to `most`; the shift stops once it passes `most`
+        base = first if require else count - len(instances)
+        k = min(base << min(call, most.bit_length()), most)
         fields = _fields(stream.uniforms(k * per_draw).reshape(k, per_draw), n)
         A, _, A1, b1, c, d = fields
         screened = screened_out(A, A1, b1, c, d) if require else [False] * k
@@ -107,12 +104,10 @@ def generate_instances(config: GeneratorConfig) -> list[AffineFractionalInstance
                 if rejections > MAX_REJECTIONS:
                     accepted = len(instances)
                     rate = accepted / (accepted + rejections)
-                    raise GenerationError(
-                        f"rejected {rejections} draws for {accepted} accepted "
-                        f"instances (acceptance rate {rate:.3g})",
-                        acceptance_rate=rate,
-                    )
+                    raise GenerationError(f"rejected {rejections} draws for {accepted} "
+                                          f"accepted instances (acceptance rate {rate:.3g})",
+                                          acceptance_rate=rate)
                 continue
             instances.append(inst)
-            if len(instances) == config.count:
+            if len(instances) == count:
                 return instances

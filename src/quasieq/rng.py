@@ -1,26 +1,23 @@
 """Reproducible uniform random stream: splitmix64 seeding + xoshiro256**.
 
-The 64-bit seed is expanded into the four xoshiro256** state words with
-splitmix64 (Blackman & Vigna, ACM TOMS 47(4), 2021).  `uniforms` is the
-stream's only method; each uniform in [0, 1) is the top 53 bits of one
-output word, so the stream is bit-identical for equal seeds on any
-platform, and uniforms(3) followed by uniforms(4) equals uniforms(7).
+The seed, an integer (not a bool) in [0, 2**64), is expanded into the
+four xoshiro256** state words with splitmix64 (Blackman & Vigna, ACM
+TOMS 47(4), 2021).  `uniforms` is the stream's only method; each
+uniform in [0, 1) is the top 53 bits of one output word, so the stream
+is bit-identical for equal seeds on any platform, and uniforms(3)
+followed by uniforms(4) equals uniforms(7).
 
-The words are made in numpy uint64 lanes.  The xoshiro256** state update
-is linear over GF(2), so the state 2**p steps ahead is a fixed 256 x 256
-bit matrix times the state (Haramoto et al., INFORMS J. Computing 20(3),
-2008), built once per process into one jump table per power
-(`_jump_table`).  The stream keeps the uniforms it has made but not
-handed out, and a refill makes at least _MIN_REFILL of them, so small
-requests share one refill.  Each refill cuts its words into L lanes of
-2**q steps, q chosen from the refill's size so that the grid is near
-square (q from 4 to 8): the steps run one numpy call per output index
-over all lanes, and the lane starts take ceil(log2 L) jumps.  Lane 0
-starts at the stream state, and lanes m .. 2m - 1 start one stacked jump
-by m * 2**q steps after lanes 0 .. m - 1.  Lane l's outputs are the
-stream's words l * 2**q .. (l + 1) * 2**q - 1 of the refill, written as
-uniforms into one (L, 2**q) array, so any lane length gives the same
-uniforms.  The seed must be an integer (a bool is not).
+The state update is linear over GF(2), so the state 2**p steps ahead is
+a fixed 256 x 256 bit matrix times the state (Haramoto et al., INFORMS
+J. Computing 20(3), 2008), built once per process into one jump table
+per power (`_jump_table`).  A request that the uniforms left over cannot
+meet refills the shortfall, rounded up to whole lanes: L numpy uint64
+lanes of 2**q steps, q chosen from the size so that the grid is near
+square (q from 4 to 8), one numpy call per step over all lanes.  Lane 0
+starts at the stream state, and lanes m .. 2m - 1 start one stacked
+jump by m * 2**q steps after lanes 0 .. m - 1, so the starts take
+ceil(log2 L) jumps.  Lane l makes the refill's words l * 2**q ..
+(l + 1) * 2**q - 1, so any lane length gives the same uniforms.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ import numpy as np
 from .linalg import is_integer
 
 _MASK64 = (1 << 64) - 1
-_MIN_REFILL = 1 << 13  # smallest refill, in uniforms
+_PIECE = 1 << 13  # words per piece of `_advance`'s scrambler
 _CHUNK = 64  # states per stacked jump, to keep its gathers small
 
 
@@ -64,9 +61,9 @@ def _advance(s: np.ndarray, out: np.ndarray) -> None:
         s3 <<= 45
         s3 |= t  # rotl(s3, 45)
     # The ** scrambler and the float conversion, in pieces of about
-    # _MIN_REFILL words so that their temporaries stay small: one unchunked
+    # _PIECE words so that their temporaries stay small: one unchunked
     # pass raises the benchmark's `large` peak memory by about 2%.
-    rows = max(1, _MIN_REFILL // steps)
+    rows = max(1, _PIECE // steps)
     for i in range(0, len(out), rows):
         w = history[i:i + rows]
         w *= 5
@@ -124,10 +121,13 @@ class UniformStream:
     """xoshiro256** generator yielding uniforms in [0, 1)."""
 
     def __init__(self, seed: int):
-        """A seed that is not an integer (a bool is not) raises TypeError."""
+        """A seed that is not an integer (a bool is not) raises TypeError,
+        and one outside [0, 2**64), which would alias another, ValueError."""
         if not is_integer(seed):
             raise TypeError(f"seed must be an integer, got {seed!r}")
-        state = int(seed) & _MASK64
+        state = int(seed)
+        if not 0 <= state <= _MASK64:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
         s = []
         for _ in range(4):
             state, word = splitmix64_next(state)
@@ -136,13 +136,11 @@ class UniformStream:
         self._made = np.empty(0)  # uniforms made but not yet handed out
 
     def _refill(self, need: int) -> None:
-        """Make size = max(need, _MIN_REFILL) more uniforms or a few more,
-        in lanes of 2**q steps: q = round(log2(size / 16) / 2), halves
-        rounded up, held within 4 .. 8."""
-        size = max(int(need), _MIN_REFILL)
-        q = min(8, max(4, (size.bit_length() - 4) // 2))
+        """Make need more uniforms, rounded up to whole lanes of 2**q steps,
+        q = round(log2(need / 16) / 2) (halves up) held within 4 .. 8."""
+        q = min(8, max(4, (need.bit_length() - 4) // 2))
         steps = 1 << q
-        lanes = -(-size // steps)
+        lanes = -(-need // steps)
         starts = np.empty((lanes, 4), dtype=np.uint64)
         starts[0] = self._s
         # lanes m .. 2m - 1 start 2**p = m * steps steps after lanes 0 .. m - 1
@@ -170,6 +168,6 @@ class UniformStream:
         if count < 0:
             raise ValueError(f"count must be nonnegative, got {count}")
         if count > self._made.size:
-            self._refill(count - self._made.size)
+            self._refill(int(count) - self._made.size)
         u, self._made = self._made[:count], self._made[count:]
         return u

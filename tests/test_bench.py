@@ -47,6 +47,15 @@ class TestBookkeeping:
         with pytest.raises(ConfigurationError):
             run_benchmark(sizes=sizes, count=1, seed=seed)
 
+    def test_seed_past_64_bits_raises_before_any_solve(self, monkeypatch):
+        # the second size's seed, 2**64, is out of range: no size is solved
+        solved = []
+        monkeypatch.setattr(bench_module, "normal_subgradient_solve",
+                            lambda *args, **kwargs: solved.append(args))
+        with pytest.raises(ConfigurationError, match=r"seed in \[0, 2\*\*64\)"):
+            run_benchmark(sizes=(2, 3), count=1, seed=2**64 - 1)
+        assert solved == []
+
     def test_accepts_numpy_integers(self):
         report = run_benchmark(sizes=(np.int64(3), np.int32(2), 3), count=1,
                                seed=np.int64(77))

@@ -246,6 +246,15 @@ class TestGen:
         ])
         assert code == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_gen_seed_outside_64_bits(self, tmp_path, capsys, seed):
+        # reduced mod 2**64, it would write the instances of another seed
+        out_dir = tmp_path / "x"
+        code = main(["gen", "--n", "2", "--count", "1", "--seed", seed, "--out", str(out_dir)])
+        assert code == EXIT_INPUT_ERROR
+        assert "seed in [0, 2**64)" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 def test_option_defaults_are_the_config_defaults():
     parser = build_parser()

@@ -14,8 +14,6 @@ from quasieq.rng import UniformStream, splitmix64_next
 from quasieq.sets import BoxSet
 from reference_rng import ScalarUniformStream, _draw_instance, scalar_words, seed_state
 
-FLOOR = rng._MIN_REFILL  # the smallest refill, in uniforms
-
 
 class TestSplitmix64:
     def test_reference_vector_for_seed_zero(self):
@@ -84,6 +82,12 @@ class TestUniformStream:
         with pytest.raises(TypeError, match="seed must be an integer"):
             UniformStream(seed)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 5 + 2**64])
+    def test_rejects_a_seed_outside_64_bits(self, seed):
+        # reduced mod 2**64, each would give the stream of another seed
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            UniformStream(seed)
+
     def test_accepts_numpy_integer_seed(self):
         assert (UniformStream(np.uint64(7)).uniforms(3).tobytes()
                 == UniformStream(7).uniforms(3).tobytes())
@@ -114,10 +118,9 @@ def scalar_uniforms(seed: int) -> np.ndarray:
     return ScalarUniformStream(seed).uniforms(max(COUNTS))
 
 
-# one call makes one refill, of max(count, FLOOR) uniforms or a little
-# more: each lane length from 32 steps, on both sides of each change of
-# length and of the floor (16-step lanes need a lower floor, below)
-COUNTS = [0, 1, 127, 128, 129, FLOOR - 1, FLOOR, FLOOR + 1, 2**15 - 1, 2**15, 80_601,
+# one call makes one refill, of count uniforms rounded up to whole lanes:
+# each lane length from 16 steps, on both sides of each change of length
+COUNTS = [0, 1, 127, 128, 129, 2**13 - 1, 2**13, 2**13 + 1, 2**15 - 1, 2**15, 80_601,
           2**17 - 1, 2**17, 2**19 - 1, 2**19, 2**19 + 1]
 
 
@@ -125,11 +128,10 @@ class TestLanesMatchScalarOracle:
     SEEDS = (0, 12345, 2**64 - 1)
 
     def test_counts_cross_every_change_of_lane_length(self):
-        assert lane_steps(FLOOR - 1) == 16 and lane_steps(FLOOR) == 32
-        for change, lane in zip((2**15, 2**17, 2**19), (64, 128, 256)):
+        assert lane_steps(1) == 16
+        for change, lane in zip((2**13, 2**15, 2**17, 2**19), (32, 64, 128, 256)):
             assert (lane_steps(change - 1), lane_steps(change)) == (lane // 2, lane)
             assert {change - 1, change} <= set(COUNTS)
-        assert {FLOOR - 1, FLOOR, FLOOR + 1} <= set(COUNTS)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("count", COUNTS)
@@ -141,7 +143,7 @@ class TestLanesMatchScalarOracle:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_jump_equals_lane_scalar_steps(self, seed):
         # _jump(state, p) is 2**p single steps, for p = 0 .. 13: every
-        # power that the lane starts of a smallest refill use, and below
+        # power that the lane starts of a refill below 2**14 uniforms use
         state = seed_state(seed)
         for p in range(14):
             jumped = rng._jump(np.array(state, dtype=np.uint64), p)
@@ -150,16 +152,13 @@ class TestLanesMatchScalarOracle:
 
     @settings(max_examples=40)
     @given(seed=st.integers(0, 2**64 - 1),
-           counts=st.lists(st.sampled_from([0, 1, 15, 16, 17, FLOOR - 1, FLOOR + 1])
-                           | st.integers(0, 3000), max_size=6),
-           floor=st.sampled_from([1, FLOOR]))
-    @example(seed=7, counts=[1, 16], floor=1)  # the second call refills one 16-step lane
-    @example(seed=7, counts=[FLOOR - 1, 2], floor=FLOOR)
-    def test_consecutive_calls_continue_one_stream(self, seed, counts, floor):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rng, "_MIN_REFILL", floor)
-            stream = UniformStream(seed)
-            pieces = [stream.uniforms(c) for c in counts]
+           counts=st.lists(st.sampled_from([0, 1, 15, 16, 17, 2**13 - 1, 2**13 + 1])
+                           | st.integers(0, 3000), max_size=6))
+    @example(seed=7, counts=[1, 16])  # the second call refills one 16-step lane
+    @example(seed=7, counts=[2**13 - 1, 2])  # 512 lanes of 16 steps leave one uniform
+    def test_consecutive_calls_continue_one_stream(self, seed, counts):
+        stream = UniformStream(seed)
+        pieces = [stream.uniforms(c) for c in counts]
         joined = np.concatenate([np.empty(0)] + pieces)
         total = sum(counts)
         assert joined.tobytes() == UniformStream(seed).uniforms(total).tobytes()
@@ -190,7 +189,6 @@ class TestLaneStartsByDoubling:
     @pytest.mark.parametrize("lanes", LANES)
     def test_lane_starts_equal_the_serial_chain(self, monkeypatch, lanes):
         # every lane length that makes a refill of exactly this many lanes
-        monkeypatch.setattr(rng, "_MIN_REFILL", 1)
         steps = [2**q for q in range(4, 9) if lane_steps(lanes * 2**q) == 2**q]
         assert steps
         seen = self.watch_refills(monkeypatch)
@@ -226,11 +224,13 @@ class TestLaneStartsByDoubling:
         five = np.concatenate([stream.uniforms(80_601) for _ in range(5)])
         assert UniformStream(12345).uniforms(5 * 80_601).tobytes() == five.tobytes()
 
-    @pytest.mark.parametrize("n, count", [(5, 200), (20, 20), (200, 5), (3, 1)])
+    # (5, 20): 1,320 uniforms, one refill of 83 lanes of 16 steps (1,328)
+    @pytest.mark.parametrize("n, count", [(5, 200), (20, 20), (200, 5), (3, 1), (5, 20)])
     def test_plain_call_makes_one_refill(self, monkeypatch, n, count):
+        # of the draws asked for, rounded up to whole lanes
         seen = self.watch_refills(monkeypatch)
         generate_instances(GeneratorConfig(n=n, count=count, seed=12345))
-        size = max(count * (2 * n * n + 3 * n + 1), FLOOR)
+        size = count * (2 * n * n + 3 * n + 1)
         lane = lane_steps(size)
         assert [(len(starts), got) for starts, got in seen] == [(-(-size // lane), lane)]
 
@@ -259,6 +259,16 @@ class TestGeneratorConfig:
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ConfigurationError):
             GeneratorConfig(**kwargs)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_a_seed_outside_64_bits(self, seed):
+        with pytest.raises(ConfigurationError, match=r"seed in \[0, 2\*\*64\)"):
+            GeneratorConfig(n=1, count=1, seed=seed)
+
+    def test_accepts_the_largest_seed(self):
+        cfg = GeneratorConfig(n=1, count=1, seed=2**64 - 1)
+        assert (generate_instances(cfg)[0].A.tobytes()
+                == UniformStream(2**64 - 1).uniforms(1).tobytes())
 
     def test_accepts_numpy_integers(self):
         cfg = GeneratorConfig(n=np.int64(2), count=np.int32(1), seed=np.uint64(7))
@@ -407,8 +417,7 @@ class TestGenerateInstances:
                 passed = False
             accepted += passed
             rejections += not passed
-        first = FLOOR // (2 * n * n + 3 * n + 1)  # blocks of first, 2 first, 4 first, ...
-        ends = first * (2 ** np.arange(1, 12) - 1)
+        ends = 292 * (2 ** np.arange(1, 12) - 1)  # blocks of 292, 584, 1,168, ... candidates
         assert accepted > 0 and accepted + rejections not in ends  # fires mid-block
         rate = accepted / (accepted + rejections)
         monkeypatch.setattr(generator, "MAX_REJECTIONS", limit)
@@ -418,6 +427,25 @@ class TestGenerateInstances:
         assert str(err.value) == (f"rejected {rejections} draws for {accepted} accepted "
                                   f"instances (acceptance rate {rate:.3g})")
         assert err.value.acceptance_rate == rate
+
+    @pytest.mark.parametrize("cfg, calls", [
+        # over [-1, 1]^2 about 5 draws in 6 are rejected; each call takes the
+        # draws still needed times 2**i: 200, 165 * 2, 114 * 4, 36 * 8 of 15
+        (GeneratorConfig(2, 200, 1, -1.0, 1.0), [3000, 4950, 6840, 4320]),
+        # paramonotone blocks of 292, 584 and 1,168 candidates of 28 uniforms
+        (GeneratorConfig(n=3, count=20, seed=12345, require_paramonotone=True),
+         [8176, 16352, 32704]),
+    ], ids=["plain", "paramonotone"])
+    def test_successive_calls_keep_their_sizes(self, monkeypatch, cfg, calls):
+        seen, uniforms = [], UniformStream.uniforms
+
+        def watched(stream, count):
+            seen.append(count)
+            return uniforms(stream, count)
+
+        monkeypatch.setattr(UniformStream, "uniforms", watched)
+        generate_instances(cfg)
+        assert seen == calls
 
     @pytest.mark.parametrize("count, seed, accepted", [(5, 1, 3), (20, 12345, 6)])
     def test_exhausted_rejections_keep_their_pin(self, count, seed, accepted):
