@@ -9,10 +9,12 @@ are draws failing the paramonotonicity certificate.  The i-th `uniforms`
 call takes base * 2**i candidates, up to _MAX_CALL uniforms.  For plain
 draws, base is every draw still needed, so a call that rejects nothing
 is the only one; under require_paramonotone, it is _FIRST_BLOCK
-uniforms' worth (292 at n = 3, 1 from n = 45 on).  A cheap LDL' screen
-rules out most of a paramonotone block at once; every other draw, in
-stream order, is accepted only on the certificate's verdict, so the
-screen changes no instance, only the cost of finding it.  The stream is
+uniforms' worth (292 at n = 3, 1 from n = 45 on).  Two stacked LDL'
+tests decide most of a paramonotone block at once: one rules out
+candidates the certificate would reject, the other certifies ones it
+would accept, without computing its report.  Every draw in the band
+between them goes, in stream order, to the certificate, so the tests
+change no instance, only the cost of finding it.  The stream is
 the call's own, so draws past the last accepted one are never seen.
 More than MAX_REJECTIONS rejections in one call, counted draw by draw,
 raise GenerationError.  An accepted paramonotone instance holds copies
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError, DomainError, GenerationError
 from .linalg import is_integer, is_real
-from .monotonicity import check_paramonotone, screened_out
+from .monotonicity import check_paramonotone, screen
 from .oracles import AffineFractionalInstance
 from .rng import UniformStream
 from .sets import BoxSet
@@ -89,15 +91,16 @@ def generate_instances(config: GeneratorConfig) -> list[AffineFractionalInstance
         k = min(base << min(call, most.bit_length()), most)
         fields = _fields(stream.uniforms(k * per_draw).reshape(k, per_draw), n)
         A, _, A1, b1, c, d = fields
-        screened = screened_out(A, A1, b1, c, d) if require else [False] * k
-        for i, out in enumerate(screened):  # only a candidate the screen leaves is sliced
+        ruled_out, certified = screen(A, A1, b1, c, d) if require else ([False] * k,) * 2
+        for i, out in enumerate(ruled_out):  # only a candidate the screen leaves is sliced
             # a paramonotone candidate's own copies: a view would keep the block alive
             row = () if out else [f[i].copy() if require else f[i] for f in fields]
             try:
                 inst = AffineFractionalInstance(*row, box) if row else None
             except DomainError:
                 inst = None  # nonpositive denominator over the box
-            if inst is not None and require and not check_paramonotone(inst).verdict:
+            if (inst is not None and require and not certified[i]
+                    and not check_paramonotone(inst).verdict):
                 inst = None
             if inst is None:
                 rejections += 1

@@ -14,8 +14,11 @@ with no floor, so a verdict does not depend on the scale of A_hat.
 
 `screened_out` is a cheap screen for rejection sampling: one LDL'
 factorization per candidate, run on one instance's fields or on whole
-stacks at once, that can only say "not paramonotone".  The report
-remains the only way to accept an instance.
+stacks at once, that can only say "not paramonotone".  `screen` adds
+the accept test, a second LDL' factorization on the candidates the
+first leaves, that can only say "paramonotone", so a certified
+candidate gets exactly the verdict its report would give (`_certified`
+holds the argument).  Only the band between the two needs the report.
 """
 
 from __future__ import annotations
@@ -84,10 +87,37 @@ def screened_out(A, A1, b1, c, d) -> np.ndarray:
     below -slack as well, and the verdict is False.  False from the
     screen decides nothing.
     """
+    return screen(A, A1, b1, c, d)[0]
+
+
+def screen(A, A1, b1, c, d) -> tuple[np.ndarray, np.ndarray]:
+    """(`screened_out`, `_certified`) per candidate, the second factored
+    only where the first is False, both from one A_hat, S and t."""
     a_hat = _a_hat(A, A1, b1, c, d)
     sym = _symmetric_part(a_hat)
     shift = 2.0 * DEFAULT_TOL * np.maximum(1.0, frobenius_norm(a_hat))[..., None, None]
-    return np.logical_not(is_positive_definite(sym + shift * np.eye(c.shape[-1])))
+    eye = np.eye(c.shape[-1])
+    out = np.logical_not(is_positive_definite(sym + shift * eye))
+    sure = np.zeros_like(out)
+    sure[~out] = _certified(sym[~out], shift[~out] * eye)
+    return out, sure
+
+
+def _certified(sym: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Per candidate: True where S - 2 t I is positive definite, which
+    certifies a paramonotone verdict from `check_paramonotone`.
+
+    As in `screened_out`, LDL' succeeding on S - 2 t I means
+    lambda_min(S) > 2 t - O(n u ||S||) > t >= slack.  As x'A_hat x =
+    x'S x, sigma_min(A_hat) >= lambda_min(S) > t >= tol ||A_hat||_F >=
+    tol sigma_max(A_hat), so S and A_hat both have full rank n.  The
+    report's spectra are off by O(n u ||A_hat||), far below t, so the
+    lambda_min, every |eig(S)| and every singular value of A_hat it
+    computes stay above t, which is at least both the slack and the
+    rank cutoff tol sigma_max(A_hat): both ranks are n and the verdict
+    is True.  False decides nothing.
+    """
+    return is_positive_definite(sym - shift)
 
 
 def paramonotonicity_report(a_hat: np.ndarray,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from quasieq import generator, rng
 from quasieq.errors import ConfigurationError, DomainError, GenerationError
 from quasieq.generator import GeneratorConfig, generate_instances
-from quasieq.monotonicity import check_paramonotone, screened_out
+from quasieq.monotonicity import check_paramonotone, screen
 from quasieq.rng import UniformStream, splitmix64_next
 from quasieq.sets import BoxSet
 from reference_rng import ScalarUniformStream, _draw_instance, scalar_words, seed_state
@@ -365,20 +365,24 @@ class TestGenerateInstances:
     @pytest.mark.parametrize("n, seed", [(1, 5), (2, 11), (3, 12345)])
     def test_paramonotone_filter_matches_the_certificate_alone(self, n, seed):
         # the plain candidate stream filtered by check_paramonotone alone:
-        # the screen in front of the certificate changes no instance
+        # neither LDL' test in front of the certificate changes an instance
         count = 4
         stream = UniformStream(seed)
         box = BoxSet.uniform(n, 1.0, 3.0)
-        expected, screened = [], 0
+        expected, screened, certified = [], 0, 0
         while len(expected) < count:
             try:
                 inst = _draw_instance(stream, n, box)
             except DomainError:
                 continue
-            screened += bool(screened_out(inst.A, inst.A1, inst.b1, inst.c, inst.d))
+            fields = (inst.A, inst.A1, inst.b1, inst.c, inst.d)
+            out, sure = screen(*(np.asarray(f)[None] for f in fields))
+            screened += bool(out[0])
+            certified += bool(sure[0])
             if check_paramonotone(inst).verdict:
                 expected.append(inst)
         assert screened > 0  # the screen has draws to reject
+        assert certified > 0  # and the accept test draws to accept
         cfg = GeneratorConfig(n=n, count=count, seed=seed, require_paramonotone=True)
         got = generate_instances(cfg)
         assert len(got) == count

@@ -19,6 +19,7 @@ from quasieq.monotonicity import (
     check_paramonotone,
     compute_a_hat,
     paramonotonicity_report,
+    screen,
     screened_out,
 )
 from quasieq.oracles import AffineFractionalInstance, affine_vi_instance
@@ -366,3 +367,96 @@ class TestScreen:
         A, _, A1, b1, c, d = generator._fields(block.reshape(count, -1), n)
         got = "".join("1" if out else "0" for out in screened_out(A, A1, b1, c, d))
         assert got == "".join(pin["screened_out"])
+
+
+def _certified_one_by_one(A, A1, b1, c, d):
+    """The accept test written one matrix at a time from compute_a_hat:
+    S - 2 t I positive definite, t = tol max(1, ||A_hat||_F)."""
+    got = []
+    for i in range(len(d)):
+        a_hat = compute_a_hat(SimpleNamespace(A=A[i], A1=A1[i], b1=b1[i], c=c[i], d=d[i]))
+        shift = 2.0 * DEFAULT_TOL * max(1.0, frobenius_norm(a_hat))
+        got.append(is_positive_definite(0.5 * (a_hat + a_hat.T) - shift * np.eye(len(a_hat))))
+    return np.array(got, dtype=bool)
+
+
+def _screen_one(inst) -> tuple[bool, bool]:
+    """(ruled out, certified) of one instance, as a stack of one."""
+    out, sure = screen(*(np.asarray(f)[None] for f in (inst.A, inst.A1, inst.b1, inst.c, inst.d)))
+    return bool(out[0]), bool(sure[0])
+
+
+def _pinned_stack(name):
+    """The pin in tests/data/<name>.json and the fields of its stack."""
+    pin = json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text())
+    n, count = pin["n"], pin["count"]
+    block = UniformStream(pin["seed"]).uniforms(count * (2 * n * n + 3 * n + 1))
+    return pin, generator._fields(block.reshape(count, -1), n)
+
+
+class TestAccept:
+    """A candidate is certified only where the report accepts it."""
+
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        k=st.sampled_from([-3.0, -1.0, 0.0, 0.5, 1.5, 2.5, 3.0, 10.0]),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    @settings(max_examples=100)
+    def test_never_certifies_what_the_report_rejects(self, n, seed, k, scale):
+        # the construction of TestScreen::test_never_rejects_what_the_report_accepts:
+        # A_hat = S + K with K skew and lambda_min(S) = k slack
+        gen = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(gen.normal(size=(n, n)))
+        rest = scale * gen.uniform(0.5, 2.0, size=n - 1)
+        raw = scale * gen.normal(size=(n, n))
+        skew = raw - raw.T
+        slack = DEFAULT_TOL * max(1.0, math.sqrt(np.sum(rest**2) + np.sum(skew**2)))
+        a_hat = q @ np.diag([k * slack, *rest]) @ q.T + skew
+        out, sure = _screen_one(_from_a_hat(a_hat))
+        assert not (sure and not paramonotonicity_report(a_hat).verdict)
+        assert not (sure and out)
+        # S - 2 slack I has lambda_min = (k - 2) slack
+        assert sure is (k > 2.0)
+
+    def test_band_case_is_neither_ruled_out_nor_certified(self):
+        # S = diag(1, 0) is PSD, so S + 2 t I is positive definite and
+        # S - 2 t I is not; the report rejects on the ranks (1 < 2)
+        band = _from_a_hat(np.array([[1.0, 1.0], [-1.0, 0.0]]))
+        assert _screen_one(band) == (False, False)
+        assert check_paramonotone(band).verdict is False
+
+    def test_identity_is_certified_and_its_negation_ruled_out(self, identity_case, negated_case):
+        assert _screen_one(identity_case) == (False, True)
+        assert _screen_one(negated_case) == (True, False)
+        # positive definite, but inside 2 t of singular: left to the report
+        tiny = _from_a_hat(1e-9 * np.eye(2))
+        assert _screen_one(tiny) == (False, False)
+        assert check_paramonotone(tiny).verdict is True
+
+    @pytest.mark.parametrize("n, seed", [(1, 5), (2, 7), (3, 12345)])
+    def test_stack_agrees_with_the_matrix_by_matrix_accept_test(self, n, seed):
+        count = 600
+        block = UniformStream(seed).uniforms(count * (2 * n * n + 3 * n + 1)).reshape(count, -1)
+        A, _, A1, b1, c, d = generator._fields(block, n)
+        out, sure = screen(A, A1, b1, c, d)
+        np.testing.assert_array_equal(out, screened_out(A, A1, b1, c, d))
+        np.testing.assert_array_equal(sure, _certified_one_by_one(A, A1, b1, c, d))
+        assert 0 < sure.sum() < count
+
+    def test_verdicts_on_a_fixed_stack_keep_their_pin(self):
+        # the stack of tests/data/screen_verdicts.json; the pin holds
+        # is_positive_definite(S - 2 t I) of every candidate, written
+        # before the generator used the accept test
+        pin, (A, _, A1, b1, c, d) = _pinned_stack("certified_verdicts")
+        got = "".join("1" if sure else "0" for sure in screen(A, A1, b1, c, d)[1])
+        assert got == "".join(pin["certified"])
+
+    def test_every_certified_candidate_of_the_pinned_stack_passes_the_report(self):
+        _, (A, _, A1, b1, c, d) = _pinned_stack("certified_verdicts")
+        sure = screen(A, A1, b1, c, d)[1]
+        assert sure.sum() == 21
+        for i in np.flatnonzero(sure):
+            inst = SimpleNamespace(A=A[i], A1=A1[i], b1=b1[i], c=c[i], d=d[i])
+            assert paramonotonicity_report(compute_a_hat(inst)).verdict is True

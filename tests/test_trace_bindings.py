@@ -6,7 +6,11 @@ a renamed or bypassed binding fails here rather than in a traced run."""
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 import quasieq as qe
+from quasieq import generator, monotonicity
+from quasieq.rng import UniformStream
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SOLVE_LAYERS = (
@@ -47,12 +51,28 @@ def test_every_solve_layer_is_counted(monkeypatch):
 
 
 def test_every_generation_layer_is_counted(monkeypatch):
-    tracer = _tracer(monkeypatch)
     config = qe.GeneratorConfig(n=3, count=2, seed=12345, require_paramonotone=True)
-    with tracer.installed():
-        qe.generate_instances(config)
+    per_draw = importlib.import_module("tracing").uniforms_per_draw(3)
+    # with an accept test that certifies nothing, every candidate the
+    # screen leaves goes through generator.check_paramonotone
+    tracer = _tracer(monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(monotonicity, "_certified", lambda sym, shift: np.zeros(len(sym), bool))
+        with tracer.installed():
+            qe.generate_instances(config)
     for name in GENERATION_LAYERS:
         assert tracer.spans[name].calls > 0, name
     # every uniform the stream hands out is counted through the binding
-    per_draw = importlib.import_module("tracing").uniforms_per_draw(3)
     assert tracer.counts["rng.uniforms"] == tracer.counts["generator.draws"] * per_draw
+    # unpatched, only the band (neither ruled out nor certified) reaches
+    # the certificate; up to the last accepted draw this stream has none
+    tracer = _tracer(monkeypatch)
+    with tracer.installed():
+        last = qe.generate_instances(config)[-1]
+    first = generator._FIRST_BLOCK // per_draw
+    A, _, A1, b1, c, d = generator._fields(UniformStream(12345).uniforms(first * per_draw)
+                                           .reshape(first, per_draw), 3)
+    seen = int(np.flatnonzero(d == last.d)[0]) + 1  # the draws up to the last accepted one
+    out, sure = monotonicity.screen(A[:seen], A1[:seen], b1[:seen], c[:seen], d[:seen])
+    band = int(np.count_nonzero(~out & ~sure))
+    assert tracer.spans["monotonicity.check"].calls == band == 0
