@@ -12,13 +12,14 @@ far below the PSD slack tol ||A_hat||_F (`frobenius_norm`) and the rank
 cutoff tol sigma_max(A_hat) that both ranks share.  Both are relative,
 with no floor, so a verdict does not depend on the scale of A_hat.
 
-`screened_out` is a cheap screen for rejection sampling: one LDL'
-factorization per candidate, run on one instance's fields or on whole
-stacks at once, that can only say "not paramonotone".  `screen` adds
-the accept test, a second LDL' factorization on the candidates the
-first leaves, that can only say "paramonotone", so a certified
-candidate gets exactly the verdict its report would give (`_certified`
-holds the argument).  Only the band between the two needs the report.
+`screen` is the one cheap screen for rejection sampling, run on one
+instance's fields or on whole stacks at once.  Its first LDL'
+factorization per candidate can only say "not paramonotone" (its
+docstring holds the argument); the second, the accept test, on the
+candidates the first leaves, can only say "paramonotone", so a
+certified candidate gets exactly the verdict its report would give
+(`_certified` holds the argument).  Only the band between the two
+needs the report.
 """
 
 from __future__ import annotations
@@ -68,31 +69,27 @@ def _symmetric_part(a_hat: np.ndarray) -> np.ndarray:
     return 0.5 * a_hat + 0.5 * np.swapaxes(a_hat, -1, -2)
 
 
-def screened_out(A, A1, b1, c, d) -> np.ndarray:
-    """Per candidate of a stack (A and A1 of shape (..., n, n), b1 and c
-    (..., n), d (...)): True where S + 2 t I is not positive definite,
-    t = tol max(1, ||A_hat||_F) >= slack at the default tol, which rules
-    out a paramonotone verdict from `check_paramonotone` (at A_hat = 0 it
-    never does).  All candidates are factored together.
-
-    LDL' is backward stable (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., ch. 10), so its breakdown on S + 2 t I means
-    lambda_min(S) <= -2 t + O(n u ||S||) with u the unit roundoff,
-    whatever the order of the sums that formed A_hat, S and t.  As
-    ||S|| <= ||A_hat||_F, the rounding term is far below t, so
-    lambda_min(S) < -t <= -slack.  The report's lambda_min comes from
-    `eigvalsh`, which is backward stable too: it is an eigenvalue of
-    S + E with ||E||_2 = O(n u ||S||) (LAPACK Users' Guide, 3rd ed.,
-    ch. 4), so by Weyl's inequality it is within that of lambda_min(S),
-    below -slack as well, and the verdict is False.  False from the
-    screen decides nothing.
-    """
-    return screen(A, A1, b1, c, d)[0]
-
-
 def screen(A, A1, b1, c, d) -> tuple[np.ndarray, np.ndarray]:
-    """(`screened_out`, `_certified`) per candidate, the second factored
-    only where the first is False, both from one A_hat, S and t."""
+    """(ruled out, certified) per candidate of a stack (A and A1 of shape
+    (..., n, n), b1 and c (..., n), d (...)), both from one A_hat, S and
+    t = tol max(1, ||A_hat||_F) >= slack at the default tol.  All
+    candidates are factored together; the accept test (`_certified`)
+    runs only on those not ruled out.
+
+    A candidate is ruled out where S + 2 t I is not positive definite,
+    which rules out a paramonotone verdict from `check_paramonotone`
+    (at A_hat = 0 it never is).  LDL' is backward stable (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 10), so
+    its breakdown on S + 2 t I means lambda_min(S) <= -2 t + O(n u ||S||)
+    with u the unit roundoff, whatever the order of the sums that formed
+    A_hat, S and t.  As ||S|| <= ||A_hat||_F, the rounding term is far
+    below t, so lambda_min(S) < -t <= -slack.  The report's lambda_min
+    comes from `eigvalsh`, which is backward stable too: it is an
+    eigenvalue of S + E with ||E||_2 = O(n u ||S||) (LAPACK Users' Guide,
+    3rd ed., ch. 4), so by Weyl's inequality it is within that of
+    lambda_min(S), below -slack as well, and the verdict is False.  Not
+    ruled out decides nothing.
+    """
     a_hat = _a_hat(A, A1, b1, c, d)
     sym = _symmetric_part(a_hat)
     shift = 2.0 * DEFAULT_TOL * np.maximum(1.0, frobenius_norm(a_hat))[..., None, None]
@@ -107,7 +104,7 @@ def _certified(sym: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Per candidate: True where S - 2 t I is positive definite, which
     certifies a paramonotone verdict from `check_paramonotone`.
 
-    As in `screened_out`, LDL' succeeding on S - 2 t I means
+    As in `screen`'s rule-out, LDL' succeeding on S - 2 t I means
     lambda_min(S) > 2 t - O(n u ||S||) > t >= slack.  As x'A_hat x =
     x'S x, sigma_min(A_hat) >= lambda_min(S) > t >= tol ||A_hat||_F >=
     tol sigma_max(A_hat), so S and A_hat both have full rank n.  The

@@ -99,31 +99,23 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
     """Run the normal-subgradient method from x0 (default: box center).
 
     feasible_set must equal the oracle's box (a BoxSet with the same
-    bounds); any other set raises ConfigurationError, or DimensionError
-    when its dimension differs.  x0, checked as a vector of the box's
+    bounds); any other set, of any dimension, raises ConfigurationError
+    before the oracle is called.  x0, checked as a vector of the box's
     dimension, is projected onto the box first.  Every completed
     projection step appends an IterationRecord; under ng2 the record
     also carries the residual -min_y f(x_k, y) evaluated at x_k before
     the step.  final_residual is always the residual at x_final: when
     ng2 stops before stepping it is the last probe's, otherwise (every
     ng1 stop, and ng2 at max_iter) it is one oracle.residual(x_final)
-    call.  elapsed_seconds spans the whole call: the feasible-set checks,
+    call.  elapsed_seconds spans the whole call: the feasible-set check,
     the iterations and that final residual.  A subgradient norm or ng2
     residual that is not finite raises DomainError naming the iteration.
     """
     start = time.perf_counter()
     box = oracle.box
-    if not isinstance(feasible_set, BoxSet):
-        raise ConfigurationError(
-            f"feasible set must be the oracle's BoxSet, got {type(feasible_set).__name__}"
-        )
-    if feasible_set.dim != box.dim:
-        raise DimensionError(
-            f"oracle dimension {box.dim} != set dimension {feasible_set.dim}"
-        )
-    if not (np.array_equal(feasible_set.lo, box.lo)
+    if not (isinstance(feasible_set, BoxSet) and np.array_equal(feasible_set.lo, box.lo)
             and np.array_equal(feasible_set.hi, box.hi)):
-        raise ConfigurationError("feasible set differs from the oracle's box")
+        raise ConfigurationError("feasible set must equal the oracle's box")
     lo, hi = box.lo, box.hi
     ng2 = config.variant == "ng2"
 

@@ -20,7 +20,6 @@ from quasieq.monotonicity import (
     compute_a_hat,
     paramonotonicity_report,
     screen,
-    screened_out,
 )
 from quasieq.oracles import AffineFractionalInstance, affine_vi_instance
 from quasieq.rng import UniformStream
@@ -77,9 +76,21 @@ def _from_a_hat(a_hat):
     return _inst(a_hat, np.eye(n), np.zeros(n), np.zeros(n), 1.0, n=n)
 
 
+def _shifted_pd_one_by_one(A, A1, b1, c, d, k):
+    """Per candidate, written one matrix at a time from compute_a_hat:
+    S + k t I positive definite, t = tol max(1, ||A_hat||_F).  k = 2 is
+    the negation of the screen's rule-out, k = -2 its accept test."""
+    got = []
+    for i in range(len(d)):
+        a_hat = compute_a_hat(SimpleNamespace(A=A[i], A1=A1[i], b1=b1[i], c=c[i], d=d[i]))
+        shift = k * DEFAULT_TOL * max(1.0, frobenius_norm(a_hat))
+        got.append(is_positive_definite(0.5 * (a_hat + a_hat.T) + shift * np.eye(len(a_hat))))
+    return np.array(got, dtype=bool)
+
+
 def _screened(inst) -> bool:
-    """The stacked screen on one instance's fields."""
-    return bool(screened_out(inst.A, inst.A1, inst.b1, inst.c, inst.d))
+    """The stacked screen's rule-out on one instance's fields."""
+    return bool(screen(inst.A, inst.A1, inst.b1, inst.c, inst.d)[0])
 
 
 @pytest.fixture
@@ -303,7 +314,7 @@ class TestReportConstruction:
 
 
 class TestScreen:
-    """screened_out may only reject what the report rejects."""
+    """The screen may only rule out what the report rejects."""
 
     @given(
         n=st.integers(min_value=1, max_value=6),
@@ -350,12 +361,9 @@ class TestScreen:
         count = 600
         block = UniformStream(seed).uniforms(count * (2 * n * n + 3 * n + 1)).reshape(count, -1)
         A, _, A1, b1, c, d = generator._fields(block, n)
-        got = screened_out(A, A1, b1, c, d)
+        got = screen(A, A1, b1, c, d)[0]
         assert got.shape == (count,) and 0 < got.sum() < count
-        for i in range(count):
-            a_hat = compute_a_hat(SimpleNamespace(A=A[i], A1=A1[i], b1=b1[i], c=c[i], d=d[i]))
-            shift = 2.0 * DEFAULT_TOL * max(1.0, frobenius_norm(a_hat))
-            assert got[i] == (not is_positive_definite(0.5 * (a_hat + a_hat.T) + shift * np.eye(n)))
+        np.testing.assert_array_equal(got, ~_shifted_pd_one_by_one(A, A1, b1, c, d, 2.0))
 
     def test_verdicts_on_a_fixed_stack_keep_their_pin(self):
         # the first 2,336 n = 3 candidates of the seed-12345 stream, eight
@@ -365,19 +373,8 @@ class TestScreen:
         n, count = pin["n"], pin["count"]
         block = UniformStream(pin["seed"]).uniforms(count * (2 * n * n + 3 * n + 1))
         A, _, A1, b1, c, d = generator._fields(block.reshape(count, -1), n)
-        got = "".join("1" if out else "0" for out in screened_out(A, A1, b1, c, d))
+        got = "".join("1" if out else "0" for out in screen(A, A1, b1, c, d)[0])
         assert got == "".join(pin["screened_out"])
-
-
-def _certified_one_by_one(A, A1, b1, c, d):
-    """The accept test written one matrix at a time from compute_a_hat:
-    S - 2 t I positive definite, t = tol max(1, ||A_hat||_F)."""
-    got = []
-    for i in range(len(d)):
-        a_hat = compute_a_hat(SimpleNamespace(A=A[i], A1=A1[i], b1=b1[i], c=c[i], d=d[i]))
-        shift = 2.0 * DEFAULT_TOL * max(1.0, frobenius_norm(a_hat))
-        got.append(is_positive_definite(0.5 * (a_hat + a_hat.T) - shift * np.eye(len(a_hat))))
-    return np.array(got, dtype=bool)
 
 
 def _screen_one(inst) -> tuple[bool, bool]:
@@ -441,8 +438,8 @@ class TestAccept:
         block = UniformStream(seed).uniforms(count * (2 * n * n + 3 * n + 1)).reshape(count, -1)
         A, _, A1, b1, c, d = generator._fields(block, n)
         out, sure = screen(A, A1, b1, c, d)
-        np.testing.assert_array_equal(out, screened_out(A, A1, b1, c, d))
-        np.testing.assert_array_equal(sure, _certified_one_by_one(A, A1, b1, c, d))
+        np.testing.assert_array_equal(out, ~_shifted_pd_one_by_one(A, A1, b1, c, d, 2.0))
+        np.testing.assert_array_equal(sure, _shifted_pd_one_by_one(A, A1, b1, c, d, -2.0))
         assert 0 < sure.sum() < count
 
     def test_verdicts_on_a_fixed_stack_keep_their_pin(self):

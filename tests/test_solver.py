@@ -254,11 +254,34 @@ class TestElapsedSeconds:
         assert report.elapsed_seconds >= 0.05
 
 
+class _ClipSet:
+    """A 1-D set with a box's interface that is not a BoxSet."""
+    dim = 1
+    center = np.array([2.0])
+    lo, hi = np.array([1.0]), np.array([3.0])
+
+    def project(self, x):
+        return np.clip(x, 1.0, 3.0)
+
+
 class TestSolverGuards:
     def test_dimension_mismatch(self, e1):
         box2 = BoxSet.uniform(2, 1.0, 3.0)
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigurationError):
             normal_subgradient_solve(AffineFractionalOracle(e1), box2, SolverConfig())
+
+    @pytest.mark.parametrize("feasible_set", [
+        _ClipSet(), BoxSet.uniform(2, 1.0, 3.0), BoxSet.uniform(1, 0.0, 3.0),
+        BoxSet.uniform(1, 1.0, np.nextafter(3.0, 4.0)),
+    ], ids=["not-a-box", "other-dimension", "other-lower-bound", "other-upper-bound"])
+    def test_any_other_set_raises_before_an_oracle_call(self, e1, feasible_set):
+        oracle = _recording(AffineFractionalOracle(e1))
+        with pytest.raises(ConfigurationError, match="feasible set must equal the oracle's box"):
+            normal_subgradient_solve(oracle, feasible_set, SolverConfig(variant="ng2"))
+        assert oracle.probed == [] and oracle.calls == []
+        # on the oracle's own box the same solve starts with a probe
+        normal_subgradient_solve(oracle, e1.box, SolverConfig(variant="ng2", max_iter=1))
+        assert len(oracle.probed) == 1
 
     def test_rejects_box_with_other_bounds(self, e1):
         # the residual is measured over e1.box = [1, 3], so a solve over
@@ -282,15 +305,8 @@ class TestSolverGuards:
         assert info.value.field == "x0"
 
     def test_rejects_set_that_is_not_a_box(self, e1):
-        class ClipSet:
-            dim = 1
-            center = np.array([2.0])
-
-            def project(self, x):
-                return np.clip(x, 1.0, 3.0)
-
         with pytest.raises(ConfigurationError):
-            normal_subgradient_solve(AffineFractionalOracle(e1), ClipSet(), SolverConfig())
+            normal_subgradient_solve(AffineFractionalOracle(e1), _ClipSet(), SolverConfig())
 
     # A = 1e308: Ax + b overflows, so p, g and the residual are NaN.
     # A = 1e155, A1 = 1e5 I: g = (4e160, 4e160) is finite, but g'g overflows.
