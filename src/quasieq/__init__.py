@@ -17,7 +17,7 @@ from .errors import (
 )
 from .fractional import DinkelbachResult, best_response_residual, dinkelbach_minimize
 from .generator import GeneratorConfig, generate_instances
-from .linalg import numeric_rank, singular_values, symmetric_eigenvalues
+from .linalg import singular_values, symmetric_eigenvalues
 from .monotonicity import (
     ParamonotonicityReport,
     check_paramonotone,
@@ -83,7 +83,6 @@ __all__ = [
     "fractional_value",
     "generate_instances",
     "normal_subgradient_solve",
-    "numeric_rank",
     "paramonotonicity_report",
     "parse_instance_file",
     "run_benchmark",

@@ -2,7 +2,8 @@
 
 Subcommands: solve a single instance file, run a benchmark sweep,
 check paramonotonicity, and generate random instance files.  Exit codes:
-0 success, 1 solve failure, 2 input error.
+0 success, 1 solve failure, 2 an `error:` line: bad input, a generation
+out of draws, or a LAPACK routine that did not converge.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import sys
 from pathlib import Path
 
 from .bench import format_benchmark_table, run_benchmark
-from .errors import GenerationError
+from .errors import ConvergenceError, GenerationError
 from .generator import GeneratorConfig, generate_instances
-from .monotonicity import DEFAULT_TOL, check_paramonotone
+from .monotonicity import check_paramonotone
 from .oracles import AffineFractionalOracle
 from .serialize import (
     parse_instance_file,
@@ -87,7 +88,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_check(args) -> int:
     instance = parse_instance_file(args.instance)
-    report = check_paramonotone(instance, tol=args.tol)
+    report = check_paramonotone(instance)
     print(json.dumps(paramonotonicity_report_to_dict(report), indent=2))
     return EXIT_OK
 
@@ -136,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="paramonotonicity certificate")
     p_check.add_argument("--instance", required=True)
-    p_check.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_check.set_defaults(func=_cmd_check)
 
     p_gen = sub.add_parser("gen", help="generate random instance files")
@@ -156,7 +156,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, GenerationError, OSError) as exc:
+    except (ValueError, GenerationError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

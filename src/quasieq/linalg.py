@@ -1,8 +1,8 @@
-"""Minimal dense linear algebra: the package's number rules, numeric
-rank, and singular values and symmetric eigenvalues from numpy's LAPACK
-routines (`eigvalsh`, `svd`).  Every number taken in passes `is_real`,
-every count `is_integer`; the `as_*` coercions raise InputError naming
-the argument as its field.
+"""Minimal dense linear algebra: the package's number rules, and
+singular values and symmetric eigenvalues from numpy's LAPACK routines
+(`eigvalsh`, `svd`).  Every number taken in passes `is_real`, every
+count `is_integer`; the `as_*` coercions raise InputError naming the
+argument as its field.
 
 Vectors and matrices are plain float64 numpy arrays.  Each matrix routine
 divides its input once by a power of two per matrix, which is exact, and
@@ -158,14 +158,3 @@ def singular_values(m) -> np.ndarray:
     scale = _power_of_two_near_max(a)
     return scale * _lapack(np.linalg.svd, a / scale, compute_uv=False)
 
-
-def numeric_rank(values, tol: float, scale: float | None = None) -> int:
-    """Count values (nonnegative, in any order) strictly above tol * scale,
-    with no floor; scale is the largest value unless given."""
-    v = as_vector(values, "values")
-    top = float(np.max(v, initial=0.0)) if scale is None else scale
-    if not (is_real(tol) and 0.0 < tol < math.inf and is_real(top) and 0.0 <= top < math.inf):
-        raise ValueError("tol must be positive and scale nonnegative, both finite")
-    if np.any(v < 0.0):
-        raise ValueError("values must be nonnegative")
-    return int(np.count_nonzero(v > tol * top))

@@ -10,7 +10,9 @@ rank(S); rank(A_hat) comes from the singular values of A_hat.  Both are
 backward stable, so they are off by O(u ||A_hat||), u the unit roundoff,
 far below the PSD slack tol ||A_hat||_F (`frobenius_norm`) and the rank
 cutoff tol sigma_max(A_hat) that both ranks share.  Both are relative,
-with no floor, so a verdict does not depend on the scale of A_hat.
+with no floor, so a verdict does not depend on the scale of A_hat.  The
+tolerance is fixed at DEFAULT_TOL = 1e-8: a larger one would change
+what the verdict means (at tol = 10, F(x) = -x reads paramonotone).
 
 `screen` is the one cheap screen for rejection sampling, run on one
 instance's fields or on whole stacks at once.  Its first LDL'
@@ -33,8 +35,6 @@ from .linalg import (
     as_matrix,
     frobenius_norm,
     is_positive_definite,
-    is_real,
-    numeric_rank,
     singular_values,
     symmetric_eigenvalues,
 )
@@ -72,9 +72,9 @@ def _symmetric_part(a_hat: np.ndarray) -> np.ndarray:
 def screen(A, A1, b1, c, d) -> tuple[np.ndarray, np.ndarray]:
     """(ruled out, certified) per candidate of a stack (A and A1 of shape
     (..., n, n), b1 and c (..., n), d (...)), both from one A_hat, S and
-    t = tol max(1, ||A_hat||_F) >= slack at the default tol.  All
-    candidates are factored together; the accept test (`_certified`)
-    runs only on those not ruled out.
+    t = tol max(1, ||A_hat||_F) >= slack.  All candidates are factored
+    together; the accept test (`_certified`) runs only on those not
+    ruled out.
 
     A candidate is ruled out where S + 2 t I is not positive definite,
     which rules out a paramonotone verdict from `check_paramonotone`
@@ -117,24 +117,22 @@ def _certified(sym: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return is_positive_definite(sym - shift)
 
 
-def paramonotonicity_report(a_hat: np.ndarray,
-                            tol: float = DEFAULT_TOL) -> ParamonotonicityReport:
+def paramonotonicity_report(a_hat: np.ndarray) -> ParamonotonicityReport:
     """Certificate for a precomputed A_hat matrix."""
-    if not (is_real(tol) and 0.0 < tol < np.inf):
-        raise ValueError("tol must be positive and finite")
     a_hat = as_matrix(a_hat, "a_hat")
     if a_hat.shape[0] != a_hat.shape[1] or a_hat.size == 0:
         raise DimensionError(f"a_hat must be square and nonempty, got shape {a_hat.shape}")
     sym = _symmetric_part(a_hat)
-    slack = float(tol * frobenius_norm(a_hat))  # the absolute PSD slack
+    slack = float(DEFAULT_TOL * frobenius_norm(a_hat))  # the absolute PSD slack
     if slack == np.inf:  # past the float range, where any S would pass as PSD
         raise InputError("tol * ||a_hat||_F is beyond the float range", field="a_hat")
     eig = symmetric_eigenvalues(sym)
     min_eig = float(eig[0])
     sv = singular_values(a_hat)
     # one cutoff for both ranks: eig(S) is off by O(u ||A_hat||), not O(u ||S||)
-    rank_sym = numeric_rank(np.abs(eig), tol, scale=float(sv[0]))
-    rank_a_hat = numeric_rank(sv, tol)
+    cutoff = DEFAULT_TOL * sv[0]
+    rank_sym = int(np.count_nonzero(np.abs(eig) > cutoff))
+    rank_a_hat = int(np.count_nonzero(sv > cutoff))
     verdict = (min_eig >= -slack) and (rank_sym == rank_a_hat)
     return ParamonotonicityReport(
         a_hat=a_hat,
@@ -147,6 +145,6 @@ def paramonotonicity_report(a_hat: np.ndarray,
     )
 
 
-def check_paramonotone(inst, tol: float = DEFAULT_TOL) -> ParamonotonicityReport:
+def check_paramonotone(inst) -> ParamonotonicityReport:
     """Certificate for an affine-fractional instance."""
-    return paramonotonicity_report(compute_a_hat(inst), tol)
+    return paramonotonicity_report(compute_a_hat(inst))

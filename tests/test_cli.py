@@ -20,7 +20,6 @@ from quasieq.cli import (
     main,
 )
 from quasieq.generator import GeneratorConfig, generate_instances
-from quasieq.monotonicity import DEFAULT_TOL
 from quasieq.oracles import AffineFractionalInstance
 from quasieq.serialize import TRACE_HEADER, parse_instance_file, write_instance_file
 from quasieq.sets import BoxSet
@@ -206,10 +205,25 @@ class TestCheck:
         assert code == EXIT_INPUT_ERROR
         assert "d must be finite" in capsys.readouterr().err
 
-    def test_infinite_tol_is_an_input_error(self, e1_file, capsys):
-        code = main(["check", "--instance", e1_file, "--tol", "inf"])
-        assert code == EXIT_INPUT_ERROR
-        assert "positive and finite" in capsys.readouterr().err
+    def test_tol_is_a_usage_error(self, e1_file, capsys):
+        # the certificate has one tolerance; at --tol 10, F(x) = -x read paramonotone
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--instance", e1_file, "--tol", "10"])
+        assert exc.value.code == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --tol 10" in captured.err
+
+    def test_lapack_failure_is_an_error_line(self, e1_file, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        assert main(["check", "--instance", e1_file]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # one line, naming the routine (here the patched stand-in)
+        assert re.fullmatch(r"error: \w+: did not converge\n", captured.err)
 
 
 class TestGen:
@@ -246,6 +260,18 @@ class TestGen:
         ])
         assert code == EXIT_INPUT_ERROR
 
+    def test_gen_out_of_draws_writes_nothing(self, tmp_path, capsys):
+        # about 1 n = 4 draw in 1,700 is paramonotone, so 10,000 rejections run out
+        out_dir = tmp_path / "d"
+        code = main(["gen", "--n", "4", "--count", "20", "--seed", "12345",
+                     "--require-paramonotone", "--out", str(out_dir)])
+        assert code == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: rejected 10001 draws for 6 accepted instances "
+                                "(acceptance rate 0.0006)\n")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_gen_seed_outside_64_bits(self, tmp_path, capsys, seed):
         # reduced mod 2**64, it would write the instances of another seed
@@ -260,8 +286,6 @@ def test_option_defaults_are_the_config_defaults():
     parser = build_parser()
     args = parser.parse_args(["solve", "--instance", "x.json"])
     assert _solver_config(args) == SolverConfig(trace_keep=0)
-    args = parser.parse_args(["check", "--instance", "x.json"])
-    assert args.tol == DEFAULT_TOL
     args = parser.parse_args(["gen", "--n", "2", "--count", "1", "--seed", "1",
                               "--out", "x"])
     assert (args.box_low, args.box_high) == (

@@ -11,12 +11,15 @@ F(x_k), so <g_k, x* - x_k> = f(x_k, x*) too.  The proof combines that
 sign with the Fejer-type inequality at z = x* to bound the distance to
 the solution.  These tests check both on every trace record, and the
 step-length bound that the Fejer inequality rests on.  They do not
-assert convergence.
+assert convergence.  They also check the theorem's hypothesis: each
+instance is paramonotone, by the certificate and by the screen's accept
+test, since A_hat = M has the positive definite symmetric part above.
 """
 
 import numpy as np
 import pytest
 
+from quasieq.monotonicity import check_paramonotone, screen
 from quasieq.oracles import AffineFractionalOracle, affine_vi_instance, fractional_value
 from quasieq.sets import BoxSet
 from quasieq.solver import SolverConfig, fejer_audit, normal_subgradient_solve, step_length_audit
@@ -38,6 +41,15 @@ def _known_answer(n, seed):
 def test_residual_is_zero_at_the_known_answer(n, seed):
     inst, x_star = _known_answer(n, seed)
     assert AffineFractionalOracle(inst).residual(x_star) == 0.0
+
+
+@pytest.mark.parametrize("n, seed", CASES)
+def test_instance_is_paramonotone(n, seed):
+    inst, _ = _known_answer(n, seed)
+    report = check_paramonotone(inst)
+    assert (report.verdict, report.rank_sym, report.rank_a_hat) == (True, n, n)
+    out, sure = screen(inst.A, inst.A1, inst.b1, inst.c, np.asarray(inst.d))
+    assert (out, sure) == (False, True)
 
 
 @pytest.mark.parametrize("variant", ["ng1", "ng2"])

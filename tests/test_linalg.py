@@ -10,7 +10,6 @@ from quasieq.linalg import (
     frobenius_norm,
     is_positive_definite,
     is_real,
-    numeric_rank,
     singular_values,
     symmetric_eigenvalues,
 )
@@ -280,7 +279,7 @@ class TestSingularValues:
                 vals, expected = singular_values(m), np.linalg.svd(m)[1]
                 assert vals[-1] == pytest.approx(expected[-1], rel=1e-5)
                 rank = int(np.count_nonzero(expected > 1e-8 * max(1.0, expected[0])))
-                assert numeric_rank(vals, 1e-8) == rank
+                assert paramonotonicity_report(m).rank_a_hat == rank
 
 
 class TestExtremeScale:
@@ -351,53 +350,24 @@ class TestExtremeScale:
 
 
 class TestNumericRank:
+    """The certificate's ranks: the values above its one cutoff,
+    1e-8 sigma_max(A_hat), with no floor.  On a diagonal A_hat both
+    rank S and rank A_hat count the diagonal's values."""
+
+    @staticmethod
+    def _ranks(diagonal):
+        report = paramonotonicity_report(np.diag(diagonal))
+        return report.rank_sym, report.rank_a_hat
+
     def test_examples(self):
-        assert numeric_rank(np.array([3.0, 1.0, 1e-15]), tol=1e-12) == 2
-        assert numeric_rank(np.array([1.0, 0.5]), tol=1e-12) == 2
-        assert numeric_rank(np.zeros(3), tol=1e-12) == 0
-        assert numeric_rank(np.array([]), tol=1e-12) == 0
+        assert self._ranks([3.0, 1.0, 1e-15]) == (2, 2)
+        assert self._ranks([1.0, 0.5]) == (2, 2)
+        assert self._ranks([0.0, 0.0, 0.0]) == (0, 0)
 
     def test_relative_threshold_scales_with_largest(self):
-        vals = np.array([1e6, 1.0])
-        # threshold = tol * 1e6; 1.0 falls below it for tol = 1e-5
-        assert numeric_rank(vals, tol=1e-5) == 1
-        assert numeric_rank(vals, tol=1e-7) == 2
-        # threshold = tol * 1e-20, with no floor at 1
-        assert numeric_rank(np.array([1e-20, 1e-30]), tol=1e-8) == 1
-        assert numeric_rank(np.array([1e-20, 1e-27]), tol=1e-8) == 2
-        # an explicit scale replaces the largest value
-        assert numeric_rank(np.array([1e-20, 1e-27]), tol=1e-8, scale=1.0) == 0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            numeric_rank(np.array([1.0, -0.1]), tol=1e-12)
-
-    def test_rejects_bad_tol(self):
-        for tol in (0.0, np.inf, np.nan, True, "1e-8"):
-            with pytest.raises(ValueError):
-                numeric_rank(np.array([1.0]), tol=tol)
-        for scale in (-1.0, np.inf, np.nan, True):
-            with pytest.raises(ValueError, match="scale"):
-                numeric_rank(np.array([1.0]), tol=1e-8, scale=scale)
-
-    @given(
-        st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=6),
-        st.floats(min_value=1e-12, max_value=1e-2),
-        st.floats(min_value=1.0, max_value=100.0),
-    )
-    @settings(max_examples=50)
-    def test_rank_nonincreasing_in_tol(self, values, tol, factor):
-        vals = np.sort(np.asarray(values))[::-1]
-        assert numeric_rank(vals, tol=tol * factor) <= numeric_rank(vals, tol=tol)
-
-    @given(
-        st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=0, max_size=8),
-        st.floats(min_value=1e-12, max_value=1e-2),
-        st.randoms(use_true_random=False),
-    )
-    @settings(max_examples=50)
-    def test_rank_ignores_order(self, values, tol, random):
-        permuted = list(values)
-        random.shuffle(permuted)
-        descending = np.sort(np.asarray(values, dtype=float))[::-1]
-        assert numeric_rank(permuted, tol) == numeric_rank(descending, tol)
+        # cutoff = 1e-8 * 1e6 = 1e-2
+        assert self._ranks([1e6, 1.0]) == (2, 2)
+        assert self._ranks([1e6, 1e-3]) == (1, 1)
+        # cutoff = 1e-8 * 1e-20, with no floor at 1
+        assert self._ranks([1e-20, 1e-30]) == (1, 1)
+        assert self._ranks([1e-20, 1e-27]) == (2, 2)

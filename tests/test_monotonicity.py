@@ -162,16 +162,24 @@ class TestCheckParamonotone:
             )
 
     def test_verdict_stable_across_tolerance_decade(self, identity_case, negated_case):
-        # min eigenvalues sit at +-1, far beyond 10x any of these tolerances
-        for tol in (1e-9, 1e-8, 1e-7):
-            assert check_paramonotone(identity_case, tol=tol).verdict
-            assert not check_paramonotone(negated_case, tol=tol).verdict
+        # min eigenvalues sit at +-1, far beyond 10x the one slack, so a
+        # tolerance a decade either way could not flip either verdict
+        for inst, verdict in ((identity_case, True), (negated_case, False)):
+            report = check_paramonotone(inst)
+            assert report.verdict is verdict
+            assert abs(report.min_eigenvalue) > 10.0 * report.tol
+        # a larger tol would change what the verdict means: at tol = 10
+        # the slack 10 sqrt(2) passed F(x) = -x, whose S = -I, as PSD
+        minus_identity = affine_vi_instance(-np.eye(2), np.ones(2), BoxSet.uniform(2, 1.0, 3.0))
+        assert check_paramonotone(minus_identity).verdict is False
 
     def test_rejects_bad_tol(self, identity_case):
-        # tol = inf would certify anything, tol = nan would make both ranks 0
-        for tol in (0.0, np.inf, np.nan, True, "1e-8"):
-            with pytest.raises(ValueError):
+        # the tolerance is fixed at DEFAULT_TOL: no value, good or bad, is taken
+        for tol in (1e-8, 0.0, np.inf, np.nan, True, "1e-8"):
+            with pytest.raises(TypeError):
                 check_paramonotone(identity_case, tol=tol)
+            with pytest.raises(TypeError):
+                paramonotonicity_report(np.eye(2), tol=tol)
 
     def test_agrees_with_numpy_on_generated_instances(self):
         for inst in generate_instances(GeneratorConfig(n=3, count=300, seed=12345)):
@@ -274,7 +282,7 @@ class TestReportConstruction:
             paramonotonicity_report(matrix)
 
     def test_python_types(self, identity_case):
-        # a numpy tol would make min_eigenvalue >= -tol, and so the verdict, a numpy bool
+        # a numpy slack would make min_eigenvalue >= -slack, and so the verdict, a numpy bool
         for report in (check_paramonotone(identity_case), paramonotonicity_report([[2.0]])):
             assert type(report.tol) is float
             assert type(report.verdict) is bool
