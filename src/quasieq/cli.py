@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .bench import format_benchmark_table, run_benchmark
@@ -42,21 +43,14 @@ def _add_solver_options(parser):
     parser.add_argument("--tol-success", type=float, default=SolverConfig.tol_success)
 
 
-def _solver_config(args, trace_keep=0) -> SolverConfig:
-    return SolverConfig(
-        variant=args.variant,
-        scale=args.scale,
-        max_iter=args.max_iter,
-        tol_step=args.tol_step,
-        tol_residual=args.tol_residual,
-        tol_success=args.tol_success,
-        trace_keep=trace_keep,
-    )
+def _config(cls, args, **own):
+    """A cls whose fields are own, and the parsed options named after the rest."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if f.name not in own}, **own)
 
 
 def _cmd_solve(args) -> int:
     instance = parse_instance_file(args.instance)
-    config = _solver_config(args, trace_keep=None if args.trace else 0)
+    config = _config(SolverConfig, args, trace_keep=None if args.trace else 0)
     oracle = AffineFractionalOracle(instance)
     report = normal_subgradient_solve(oracle, instance.box, config)
     print(f"status: {report.status.value}")
@@ -77,7 +71,7 @@ def _cmd_bench(args) -> int:
         sizes=sizes,
         count=args.count,
         seed=args.seed,
-        config=_solver_config(args),
+        config=_config(SolverConfig, args, trace_keep=0),
     )
     print(format_benchmark_table(report))
     if args.csv:
@@ -94,12 +88,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    config = GeneratorConfig(
-        n=args.n, count=args.count, seed=args.seed,
-        box_low=args.box_low, box_high=args.box_high,
-        require_paramonotone=args.require_paramonotone,
-    )
-    instances = generate_instances(config)
+    instances = generate_instances(_config(GeneratorConfig, args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     width = max(4, len(str(args.count - 1)))

@@ -14,9 +14,11 @@ per power (`_jump_table`).  A request that the uniforms left over cannot
 meet refills the shortfall, rounded up to whole lanes: L numpy uint64
 lanes of 2**q steps, q chosen from the size so that the grid is near
 square (q from 4 to 8), one numpy call per step over all lanes.  Lane 0
-starts at the stream state, and lanes m .. 2m - 1 start one stacked
-jump by m * 2**q steps after lanes 0 .. m - 1, so the starts take
-ceil(log2 L) jumps.  Lane l makes the refill's words l * 2**q ..
+starts at the stream state, and lanes m .. 2m - 1 start m * 2**q steps
+after lanes 0 .. m - 1, so the starts take ceil(log2 L) rounds, each a
+stacked jump split into `_jump` calls of at most `_CHUNK` = 64 states
+(539 lanes take 14 calls in 10 rounds), which keeps the gathers, and so
+the peak memory, small.  Lane l makes the refill's words l * 2**q ..
 (l + 1) * 2**q - 1, so any lane length gives the same uniforms.
 """
 

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .errors import DomainError, InputError, InstanceFormatError
-from .linalg import as_real, is_integer
+from .linalg import as_real, as_vector, is_integer
 from .oracles import AffineFractionalInstance
 from .sets import BoxSet
 
@@ -45,9 +45,10 @@ def instance_to_dict(inst: AffineFractionalInstance) -> dict:
 
 def instance_from_dict(data: dict) -> AffineFractionalInstance:
     """An instance from an instance file's fields.  Only the format's own
-    rules are checked here (every field, an integer n >= 1, finite box
-    bounds with box_low < box_high); the constructor checks the rest, and
-    every error is raised as InstanceFormatError naming its field."""
+    rules are checked here (every field, an integer n >= 1 equal to the
+    size of b, before any array of size n is made, and finite box bounds
+    with box_low < box_high); the constructor checks the rest, and every
+    error is raised as InstanceFormatError naming its field."""
     for name in _INSTANCE_FIELDS:
         if name not in data:
             raise InstanceFormatError(f"missing field {name!r}", field=name)
@@ -60,8 +61,11 @@ def instance_from_dict(data: dict) -> AffineFractionalInstance:
         box_low, box_high = (as_real(data[k], k) for k in ("box_low", "box_high"))
         if not box_low < box_high:
             raise InputError("box_low must be below box_high", field="box_low")
+        b = as_vector(data["b"], "b")
+        if b.size != n:
+            raise InputError(f"n is {n}, but b has {b.size} entries", field="n")
         return AffineFractionalInstance(
-            A=data["A"], b=data["b"], A1=data["A1"], b1=data["b1"], c=data["c"],
+            A=data["A"], b=b, A1=data["A1"], b1=data["b1"], c=data["c"],
             d=data["d"], box=BoxSet.uniform(n, box_low, box_high),
         )
     except DomainError as exc:

@@ -174,10 +174,13 @@ def normal_subgradient_solve(oracle, feasible_set, config: SolverConfig,
 
 
 def step_length_audit(trace) -> bool:
-    """Check ||x_{k+1} - x_k|| <= alpha_k on every record."""
+    """Check ||x_{k+1} - x_k|| <= alpha_k on every record, up to a slack
+    relative to max(1, max |x_k|), since x_k - alpha_k g_k rounds by
+    about u ||x_k||."""
     if not trace:
         raise ValueError("trace is empty")
-    return all(rec.step_norm <= rec.alpha + STEP_AUDIT_SLACK for rec in trace)
+    return all(rec.step_norm <= rec.alpha + STEP_AUDIT_SLACK * max(1.0, np.abs(rec.x).max())
+               for rec in trace)
 
 
 def fejer_audit(trace, z, x_final=None) -> bool:

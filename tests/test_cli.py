@@ -15,8 +15,6 @@ from quasieq.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     EXIT_SOLVE_FAILURE,
-    _solver_config,
-    build_parser,
     main,
 )
 from quasieq.generator import GeneratorConfig, generate_instances
@@ -158,6 +156,17 @@ def test_field_that_is_not_a_finite_number_is_an_input_error(tmp_path, capsys, c
     assert f"error: field '{name}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_n_other_than_the_size_of_b_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "e2.json"
+    write_instance_file(generate_instances(GeneratorConfig(n=2, count=1, seed=7))[0], path)
+    data = json.loads(path.read_text())
+    data["n"] = 3
+    path.write_text(json.dumps(data))
+    assert main([command, "--instance", str(path)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: field 'n': n is 3, but b has 2 entries\n"
+
+
 class TestBench:
     def test_bench_prints_table(self, capsys):
         code = main(["bench", "--sizes", "2", "--count", "2", "--seed", "7"])
@@ -282,14 +291,28 @@ class TestGen:
         assert not out_dir.exists()
 
 
-def test_option_defaults_are_the_config_defaults():
-    parser = build_parser()
-    args = parser.parse_args(["solve", "--instance", "x.json"])
-    assert _solver_config(args) == SolverConfig(trace_keep=0)
-    args = parser.parse_args(["gen", "--n", "2", "--count", "1", "--seed", "1",
-                              "--out", "x"])
-    assert (args.box_low, args.box_high) == (
-        GeneratorConfig.box_low, GeneratorConfig.box_high)
+def test_option_defaults_are_the_config_defaults(e1_file, monkeypatch):
+    # each command's config, caught where the command hands it on: with
+    # every option left at its default it equals the config built directly,
+    # so a config field without an option of its own fails here
+    class Built(Exception):
+        pass
+
+    def catch(*args, **kwargs):
+        raise Built(*args, *kwargs.values())
+
+    for name in ("normal_subgradient_solve", "run_benchmark", "generate_instances"):
+        monkeypatch.setattr(f"quasieq.cli.{name}", catch)
+    for argv, config in [
+        (["solve", "--instance", e1_file], SolverConfig(trace_keep=0)),
+        (["solve", "--instance", e1_file, "--trace", "t.csv"], SolverConfig()),
+        (["bench"], SolverConfig(trace_keep=0)),
+        (["gen", "--n", "2", "--count", "1", "--seed", "1", "--out", "x"],
+         GeneratorConfig(n=2, count=1, seed=1)),
+    ]:
+        with pytest.raises(Built) as built:
+            main(argv)
+        assert built.value.args[-1] == config
 
 
 class TestEntryPoints:

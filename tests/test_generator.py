@@ -166,9 +166,10 @@ class TestLanesMatchScalarOracle:
 
 
 class TestLaneStartsByDoubling:
-    # a refill of L lanes of 2**q steps finds its lane starts by
-    # ceil(log2 L) stacked jumps by 2**q, 2**(q + 1), ... steps (one lane,
-    # two lanes, ...); they must be the serial chain of one-lane jumps
+    # a refill of L lanes of 2**q steps finds its lane starts in
+    # ceil(log2 L) rounds of stacked jumps by 2**q, 2**(q + 1), ... steps
+    # (one lane, two lanes, ..., each round in `_jump` calls of at most
+    # 64 states); they must be the serial chain of one-lane jumps
 
     @staticmethod
     def watch_refills(monkeypatch):

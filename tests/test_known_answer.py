@@ -27,14 +27,15 @@ from quasieq.solver import SolverConfig, fejer_audit, normal_subgradient_solve, 
 CASES = [(n, seed) for n in (5, 10, 20) for seed in (1, 2, 3)]
 
 
-def _known_answer(n, seed):
-    """(affine VI instance on [1, 3]^n, its solution x*), x* drawn from
-    the middle half [1.5, 2.5]^n."""
+def _known_answer(n, seed, shift=0.0):
+    """(affine VI instance on [1, 3]^n + shift, its solution x*), x* drawn
+    from the middle half [1.5, 2.5]^n + shift."""
     gen = np.random.default_rng(seed)
     B, C = gen.normal(size=(2, n, n))
-    x_star = gen.uniform(1.5, 2.5, size=n)
+    x_star = gen.uniform(1.5, 2.5, size=n) + shift
     M = np.eye(n) + B.T.dot(B) / n + (C - C.T)
-    return affine_vi_instance(M, -M.dot(x_star), BoxSet.uniform(n, 1.0, 3.0)), x_star
+    box = BoxSet.uniform(n, 1.0 + shift, 3.0 + shift)
+    return affine_vi_instance(M, -M.dot(x_star), box), x_star
 
 
 @pytest.mark.parametrize("n, seed", CASES)
@@ -64,3 +65,14 @@ def test_proof_inequalities_hold_on_every_record(n, seed, variant):
     for rec in report.trace:
         assert rec.g_unit.dot(x_star - rec.x) <= 0.0
         assert fractional_value(inst, rec.x, x_star) <= 0.0
+
+
+@pytest.mark.parametrize("variant", ["ng1", "ng2"])
+@pytest.mark.parametrize("shift", [1e5, 1e10, -1e10])
+def test_step_audit_holds_on_a_translated_box(shift, variant):
+    # x_k - alpha_k g_k rounds by about u ||x_k||, far more than 1e-12 here
+    inst, x_star = _known_answer(10, 1, shift)
+    report = normal_subgradient_solve(AffineFractionalOracle(inst), inst.box,
+                                      SolverConfig(variant=variant))
+    assert step_length_audit(report.trace)
+    assert fejer_audit(report.trace, x_star, report.x_final)

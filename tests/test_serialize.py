@@ -92,6 +92,23 @@ class TestInstanceJSON:
                 instance_from_dict(data)
             assert err.value.field == "n"
 
+    def test_n_is_checked_before_the_box_is_made(self, monkeypatch):
+        # a box of n entries is made only once n is known to be b's size,
+        # so an n far above the file's data costs no memory
+        data = instance_to_dict(generate_instances(GeneratorConfig(n=2, count=1, seed=7))[0])
+        data["n"] = 10**9
+        uniform = BoxSet.uniform
+
+        def guarded(n, lo, hi):
+            assert n <= len(data["b"]), f"a box of {n} entries for a file that holds 2"
+            return uniform(n, lo, hi)
+
+        monkeypatch.setattr(BoxSet, "uniform", guarded)
+        with pytest.raises(InstanceFormatError) as err:
+            instance_from_dict(data)
+        assert err.value.field == "n"
+        assert str(err.value) == "field 'n': n is 1000000000, but b has 2 entries"
+
     def test_nonpositive_denominator_is_reported_on_c(self, e1):
         data = instance_to_dict(e1)
         data["c"] = [-1.0]

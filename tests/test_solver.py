@@ -374,6 +374,12 @@ class TestAudits:
             alpha=0.5, step_norm=2.0,
         )
         assert not step_length_audit([rec])
+        # the slack grows with |x_k|, but stays far below a step's length
+        rec = IterationRecord(
+            k=0, x=np.full(2, -1e10), g_raw_norm=1.0, g_unit=np.ones(2) / np.sqrt(2),
+            alpha=0.5, step_norm=0.6,
+        )
+        assert not step_length_audit([rec])
 
     def test_fejer_audit_passes_on_real_runs(self, rng):
         for inst in generate_instances(GeneratorConfig(n=4, count=5, seed=32)):
