@@ -38,6 +38,18 @@ class BenchmarkRow:
         return sum(self.failures.values())
 
 
+# (attribute, table title, width, number format) of a row's columns, in order:
+# the table prints them, and the benchmark CSV's header is the attributes
+COLUMNS = (
+    ("n", "n", 5, ""),
+    ("n_prob", "n_prob", 7, ""),
+    ("n_success", "n_success", 10, ""),
+    ("n_failed", "n_failed", 9, ""),
+    ("mean_time_seconds", "mean_time_s", 12, ".6f"),
+    ("mean_error", "mean_error", 12, ".6g"),
+)
+
+
 @dataclass(frozen=True)
 class BenchmarkReport:
     variant: str
@@ -105,18 +117,9 @@ def run_benchmark(
 
 
 def format_benchmark_table(report: BenchmarkReport) -> str:
-    header = (
-        f"variant={report.variant}  "
-        f"alpha_k={report.schedule_scale:g}/(k+1)  seed={report.seed}"
-    )
-    lines = [
-        header,
-        f"{'n':>5} {'n_prob':>7} {'n_success':>10} {'n_failed':>9} "
-        f"{'mean_time_s':>12} {'mean_error':>12}",
-    ]
-    for row in report.rows:
-        lines.append(
-            f"{row.n:>5} {row.n_prob:>7} {row.n_success:>10} {row.n_failed:>9} "
-            f"{row.mean_time_seconds:>12.6f} {row.mean_error:>12.6g}"
-        )
+    header = (f"variant={report.variant}  alpha_k={report.schedule_scale:g}/(k+1)  "
+              f"seed={report.seed}")
+    lines = [header, " ".join(f"{title:>{width}}" for _, title, width, _ in COLUMNS)]
+    lines += [" ".join(f"{getattr(row, name):>{width}{spec}}" for name, _, width, spec in COLUMNS)
+              for row in report.rows]
     return "\n".join(lines)

@@ -6,10 +6,12 @@ b, then A1 row-major, then b1, then c, then d), so a config reproduces
 instances bit-for-bit.  Draws whose denominator is not strictly
 positive over the box are rejected; with require_paramonotone set, so
 are draws failing the paramonotonicity certificate.  The i-th `uniforms`
-call takes base * 2**i candidates, up to _MAX_CALL uniforms.  For plain
-draws, base is every draw still needed, so a call that rejects nothing
-is the only one; under require_paramonotone, it is _FIRST_BLOCK
-uniforms' worth (292 at n = 3, 1 from n = 45 on).  Two stacked LDL'
+call takes base * 2**i candidates, no more than fit in _MAX_CALL uniforms
+but at least one, so from n = 512 on (525,825 uniforms a candidate) each
+call takes exactly one.  For plain draws, base is every draw still
+needed, so a call that rejects nothing is the only one; under
+require_paramonotone, it is _FIRST_BLOCK uniforms' worth (292 at n = 3,
+1 from n = 45 on).  Two stacked LDL'
 tests decide most of a paramonotone block at once: one rules out
 candidates the certificate would reject, the other certifies ones it
 would accept, without computing its report.  Every draw in the band

@@ -1,16 +1,18 @@
-"""File formats: instance JSON, iteration-trace CSV, benchmark CSV.
-
-All floats are written with 17 significant digits so parsing recovers
-them bit-exactly.
+"""File formats: instance JSON, iteration-trace CSV, benchmark CSV and
+certificate JSON, each written from its one list of fields.  CSV floats
+carry 17 significant digits and JSON floats Python's shortest repr, so
+parsing recovers them bit-exactly.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 
+from .bench import COLUMNS
 from .errors import DomainError, InputError, InstanceFormatError
 from .linalg import as_real, as_vector, is_integer
 from .oracles import AffineFractionalInstance
@@ -19,8 +21,22 @@ from .sets import BoxSet
 _INSTANCE_FIELDS = ("n", "A", "b", "A1", "b1", "c", "d", "box_low", "box_high")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _cell(x) -> str:
+    """A CSV cell: an integer as is, a float with 17 digits, None empty."""
+    return "" if x is None else str(x) if is_integer(x) else format(float(x), ".17g")
+
+
+def _write_csv(path, header, records) -> None:
+    """The header, then one row per record of its attributes named there."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(getattr(rec, name)) for name in header] for rec in records)
+
+
+def _plain(value):
+    """A JSON value: an array as nested lists, anything else as is."""
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def instance_to_dict(inst: AffineFractionalInstance) -> dict:
@@ -30,17 +46,9 @@ def instance_to_dict(inst: AffineFractionalInstance) -> dict:
         raise InstanceFormatError(
             "instance files only support uniform boxes", field="box_low"
         )
-    return {
-        "n": inst.dim,
-        "A": inst.A.tolist(),
-        "b": inst.b.tolist(),
-        "A1": inst.A1.tolist(),
-        "b1": inst.b1.tolist(),
-        "c": inst.c.tolist(),
-        "d": inst.d,
-        "box_low": lo,
-        "box_high": hi,
-    }
+    given = {"n": inst.dim, "box_low": lo, "box_high": hi}
+    return {name: _plain(given[name] if name in given else getattr(inst, name))
+            for name in _INSTANCE_FIELDS}
 
 
 def instance_from_dict(data: dict) -> AffineFractionalInstance:
@@ -99,38 +107,12 @@ TRACE_HEADER = ("k", "alpha", "step_norm", "g_raw_norm", "residual")
 
 def write_trace_csv(report, path) -> None:
     """One row per iteration record; residual empty when not evaluated."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for rec in report.trace:
-            writer.writerow([
-                rec.k,
-                _fmt(rec.alpha),
-                _fmt(rec.step_norm),
-                _fmt(rec.g_raw_norm),
-                "" if rec.residual is None else _fmt(rec.residual),
-            ])
+    _write_csv(path, TRACE_HEADER, report.trace)
 
 
 def write_benchmark_csv(report, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "n_prob", "n_success", "n_failed",
-                         "mean_time_seconds", "mean_error"])
-        for row in report.rows:
-            writer.writerow([
-                row.n, row.n_prob, row.n_success, row.n_failed,
-                _fmt(row.mean_time_seconds), _fmt(row.mean_error),
-            ])
+    _write_csv(path, [name for name, *_ in COLUMNS], report.rows)
 
 
 def paramonotonicity_report_to_dict(report) -> dict:
-    return {
-        "a_hat": report.a_hat.tolist(),
-        "a_hat_sym": report.a_hat_sym.tolist(),
-        "min_eigenvalue": report.min_eigenvalue,
-        "rank_sym": report.rank_sym,
-        "rank_a_hat": report.rank_a_hat,
-        "verdict": report.verdict,
-        "tol": report.tol,
-    }
+    return {f.name: _plain(getattr(report, f.name)) for f in dataclasses.fields(report)}

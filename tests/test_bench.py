@@ -179,3 +179,13 @@ class TestFormatting:
         ]
         assert lines[2].split()[0] == "5"
         assert lines[2].split()[1:4] == ["20", "18", "2"]
+
+    def test_table_bytes(self, bench_report):
+        # every character of the table, NaN and -0.0 cells included
+        assert format_benchmark_table(bench_report) == (
+            "variant=ng1  alpha_k=2.5/(k+1)  seed=7\n"
+            "    n  n_prob  n_success  n_failed  mean_time_s   mean_error\n"
+            "    5      20         18         0     0.001234      5.6e-05\n"
+            "   10      20          0        20          nan          nan\n"
+            "   20       3          1         2     0.100000           -0"
+        )

@@ -354,16 +354,18 @@ class TestEntryPoints:
         shutil.which("quasieq") is None,
         reason="no installed quasieq executable on PATH",
     )
-    def test_installed_executable(self):
-        proc = subprocess.run(
-            ["quasieq", "--help"], capture_output=True, text=True
-        )
-        assert proc.returncode == 0
+    def test_installed_executable(self, tmp_path):
+        # --help, then README's examples in order, in one fresh directory
+        for line in ["quasieq --help", *_readme_commands()]:
+            proc = subprocess.run(
+                shlex.split(line), capture_output=True, text=True, cwd=tmp_path
+            )
+            assert proc.returncode == 0, (line, proc.stderr)
 
 
 def _readme_commands():
     """Every line of the ```sh blocks under README's "## Command line",
-    split out as CI's README job splits them, minus comments and blanks."""
+    minus comments and blanks."""
     text = (CHECKOUT / "README.md").read_text(encoding="utf-8")
     section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     blocks = re.findall(r"```sh\n(.*?)```", section, re.S)

@@ -332,9 +332,20 @@ class TestGenerateInstances:
             except DomainError:
                 rejected += 1
         assert (rejected > count) == (low < 0)
+        seen, uniforms = [], UniformStream.uniforms
+
+        def watched(stream, size):
+            seen.append(size)
+            return uniforms(stream, size)
+
+        monkeypatch.setattr(UniformStream, "uniforms", watched)
         monkeypatch.setattr(generator, "_MAX_CALL", cap)
         got = generate_instances(GeneratorConfig(n, count, seed, low, high))
         assert len(got) == count
+        if cap == 1:
+            # a cap below one candidate's 15 uniforms: every call takes
+            # exactly one whole candidate, as from n = 512 on under 2**19
+            assert seen == [15] * (count + rejected)
         for a, b in zip(got, expected):
             for name in ("A", "b", "A1", "b1", "c", "d"):
                 assert np.asarray(getattr(a, name)).tobytes() == np.asarray(getattr(b, name)).tobytes()

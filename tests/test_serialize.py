@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +47,16 @@ class TestInstanceJSON:
             np.testing.assert_array_equal(again.c, inst.c)
             assert again.d == inst.d
             np.testing.assert_array_equal(again.box.lo, inst.box.lo)
+
+    def test_file_bytes(self, e1, tmp_path):
+        path = tmp_path / "e1.json"
+        write_instance_file(e1, path)
+        assert path.read_bytes() == (
+            b'{\n  "n": 1,\n  "A": [\n    [\n      2.0\n    ]\n  ],\n'
+            b'  "b": [\n    0.0\n  ],\n  "A1": [\n    [\n      1.0\n    ]\n  ],\n'
+            b'  "b1": [\n    0.0\n  ],\n  "c": [\n    1.0\n  ],\n  "d": 1.0,\n'
+            b'  "box_low": 1.0,\n  "box_high": 3.0\n}\n'
+        )
 
     def test_missing_field_is_named(self, e1):
         data = instance_to_dict(e1)
@@ -199,6 +211,27 @@ class TestTraceCSV:
         for row in _read_trace(path):
             assert row["residual"] is None
 
+    @pytest.mark.parametrize("variant, residuals", [
+        ("ng1", ("", "", "")),
+        ("ng2", ("2", "0.55999999999999983", "0.10999999999999985")),
+    ])
+    def test_file_bytes(self, t1, tmp_path, variant, residuals):
+        # ng1 evaluates no residual, so its cells are empty; ng2 fills them
+        cfg = SolverConfig(variant=variant, scale=0.6, max_iter=3)
+        report = normal_subgradient_solve(
+            AffineFractionalOracle(t1), t1.box, cfg, x0=np.array([1.0])
+        )
+        path = tmp_path / "trace.csv"
+        write_trace_csv(report, path)
+        rows = ("k,alpha,step_norm,g_raw_norm,residual",
+                "0,0.59999999999999998,0.60000000000000009,1,",
+                "1,0.29999999999999999,0.30000000000000004,0.39999999999999991,",
+                "2,0.19999999999999998,0.19999999999999996,0.099999999999999867,")
+        cells = ("",) + residuals
+        assert path.read_bytes() == "".join(
+            f"{row}{cell}\r\n" for row, cell in zip(rows, cells)
+        ).encode()
+
     def test_empty_trace_gives_header_only(self, t1, tmp_path):
         cfg = SolverConfig(variant="ng1", scale=1.0)
         report = normal_subgradient_solve(
@@ -223,6 +256,16 @@ class TestBenchmarkCSV:
         assert lines[0] == "n,n_prob,n_success,n_failed,mean_time_seconds,mean_error"
         assert lines[1].startswith("5,20,18,1,")
 
+    def test_file_bytes(self, bench_report, tmp_path):
+        path = tmp_path / "bench.csv"
+        write_benchmark_csv(bench_report, path)
+        assert path.read_bytes() == (
+            b"n,n_prob,n_success,n_failed,mean_time_seconds,mean_error\r\n"
+            b"5,20,18,0,0.0012340000000000001,5.5999999999999999e-05\r\n"
+            b"10,20,0,20,nan,nan\r\n"
+            b"20,3,1,2,0.10000000000000001,-0\r\n"
+        )
+
 
 class TestReportDict:
     def test_json_serializable(self, e1):
@@ -231,3 +274,25 @@ class TestReportDict:
         again = json.loads(text)
         assert again["verdict"] == payload["verdict"]
         assert again["rank_sym"] == payload["rank_sym"]
+
+    def test_json_bytes(self, e1):
+        payload = paramonotonicity_report_to_dict(check_paramonotone(e1))
+        assert json.dumps(payload, indent=2) == (
+            '{\n  "a_hat": [\n    [\n      2.0\n    ]\n  ],\n'
+            '  "a_hat_sym": [\n    [\n      2.0\n    ]\n  ],\n'
+            '  "min_eigenvalue": 2.0,\n  "rank_sym": 1,\n  "rank_a_hat": 1,\n'
+            '  "verdict": true,\n  "tol": 2e-08\n}'
+        )
+
+
+def test_readme_states_each_format_list(e1, bench_report, tmp_path):
+    # the instance fields, the trace header and the benchmark CSV header
+    # that README's "File formats" section names are the ones written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    fields = re.search(r"Instance files are JSON objects with fields (.*?) \(", readme, re.S)
+    assert re.findall(r"`(\w+)`", fields.group(1)) == list(instance_to_dict(e1))
+    trace, bench = re.findall(r"have the header `([\w,]+)`", readme)
+    assert trace == ",".join(TRACE_HEADER)
+    path = tmp_path / "bench.csv"
+    write_benchmark_csv(bench_report, path)
+    assert bench == path.read_text().splitlines()[0]

@@ -1,8 +1,6 @@
-import json
 import math
 import sys
 import time
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,8 +22,6 @@ from quasieq.solver import (
     normal_subgradient_solve,
     step_length_audit,
 )
-
-REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 class TestStepSchedule:
@@ -582,33 +578,21 @@ class TestStronglyMonotoneConvergence:
 
 
 class TestGoldenPaperBatch:
-    """ng1 and ng2 with the benchmark configuration on the whole paper
-    batch at seed 12345 (n = 5, 10, 20 with instance seeds 12345, 12346,
-    12347; 20 instances each): the (status, iterations) of every solve
-    must equal the signatures in perfbench/reference.json, the file the
-    benchmark's same-behaviour gate reads.  Every n=5 solve ends with
-    `status` and a zero residual."""
+    """ng1 and ng2 with the benchmark configuration on the n = 5 batch of
+    the `paper` workload at seed 12345 (20 instances): every solve stops
+    at its variant's status with a residual of exactly zero.  The
+    (status, iterations) signatures of the whole batch are checked once,
+    by test_reference_digests.py::test_batch_keeps_its_signature."""
 
     @pytest.mark.parametrize("variant, status", [
         ("ng1", SolveStatus.FIXED_POINT),
         ("ng2", SolveStatus.RESIDUAL_BELOW_TOL),
     ])
     def test_status_iterations_and_residual(self, variant, status):
-        reference = json.loads(REFERENCE.read_text())
-        assert reference["seed"] == 12345
-        want = [sig for sig in reference["signatures"]["paper"]
-                if sig.startswith(f"{variant} ")]
         config = SolverConfig(variant=variant, trace_keep=0)
-        got = []
-        for i, n in enumerate((5, 10, 20)):
-            for inst in generate_instances(GeneratorConfig(n=n, count=20, seed=12345 + i)):
-                report = normal_subgradient_solve(AffineFractionalOracle(inst), inst.box, config)
-                got.append(f"{variant} {report.status.value} {report.iterations}")
-                if n == 5:
-                    assert report.status is status
-                    assert report.final_residual == 0.0
-        assert len(want) == 60
-        assert got == want
+        for inst in generate_instances(GeneratorConfig(n=5, count=20, seed=12345)):
+            report = normal_subgradient_solve(AffineFractionalOracle(inst), inst.box, config)
+            assert (report.status, report.final_residual) == (status, 0.0)
 
 
 def _reference_probe(inst, x, start):
